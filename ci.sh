@@ -7,7 +7,9 @@
 #   3. runs the full ctest suite, which includes the `lint` entry
 #      (tools/lint.py), the `validate_trace` observability gate
 #      (tools/validate_trace.py), and, under asan, the
-#      sanitizer-instrumented tests.
+#      sanitizer-instrumented tests; the dev leg then reruns it three
+#      times in shuffled order, fully parallel, to catch tests that share
+#      state.
 #
 # The tsan preset is narrower: it builds only the test binaries that host
 # the parallel experiment harness and runs the thread-pool, parallel
@@ -325,6 +327,13 @@ for preset in "${PRESETS[@]}"; do
   fi
 
   if [ "$preset" = dev ]; then
+    # Hermeticity gate: every gtest case runs as its own process, so tests
+    # sharing scratch files (or any other state) fail under a shuffled,
+    # fully parallel schedule.  Three shuffled passes make such a flake
+    # fail loudly instead of once in a few runs.
+    echo "==== [$preset] ctest shuffled x3 (test isolation) ===="
+    ctest --preset "$preset" -j "$(nproc)" --schedule-random --repeat until-fail:3
+
     # Explicit observability gate: a small MTS_TRACE=1 bench run whose
     # Chrome trace must validate against tools/trace_schema.json (the
     # entry also runs inside the full ctest sweep above; calling it out

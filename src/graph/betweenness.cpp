@@ -20,13 +20,12 @@ struct QueueEntry {
   }
 };
 
-/// Accumulates Brandes dependencies from one source into edge and/or node
-/// scores.  Weighted variant: predecessor DAG built by Dijkstra with
+/// Accumulates Brandes dependencies from one source into edge scores.
+/// Weighted variant: predecessor DAG built by Dijkstra with
 /// epsilon-tolerant tie detection.
 void accumulate_from_source(const DiGraph& g, std::span<const double> weights,
                             const EdgeFilter* filter, NodeId source,
-                            std::vector<double>* edge_score,
-                            std::vector<double>* node_score) {
+                            std::vector<double>& edge_score) {
   const std::size_t n = g.num_nodes();
   std::vector<double> dist(n, kInfiniteDistance);
   std::vector<double> sigma(n, 0.0);            // # shortest paths
@@ -71,10 +70,9 @@ void accumulate_from_source(const DiGraph& g, std::span<const double> weights,
     for (EdgeId e : preds[w.value()]) {
       const NodeId v = g.edge_from(e);
       const double share = sigma[v.value()] / sigma[w.value()] * (1.0 + delta[w.value()]);
-      if (edge_score != nullptr) (*edge_score)[e.value()] += share;
+      edge_score[e.value()] += share;
       delta[v.value()] += share;
     }
-    if (node_score != nullptr && w != source) (*node_score)[w.value()] += delta[w.value()];
   }
 }
 
@@ -94,20 +92,17 @@ std::vector<NodeId> pick_sources(const DiGraph& g, const BetweennessOptions& opt
   return all;
 }
 
-std::vector<double> run(const DiGraph& g, std::span<const double> weights,
-                        const BetweennessOptions& options, bool edges) {
+}  // namespace
+
+std::vector<double> edge_betweenness(const DiGraph& g, std::span<const double> weights,
+                                     const BetweennessOptions& options) {
   require(g.finalized(), "betweenness: graph not finalized");
   require(weights.size() == g.num_edges(), "betweenness: weight vector size mismatch");
 
-  std::vector<double> edge_score(edges ? g.num_edges() : 0, 0.0);
-  std::vector<double> node_score(edges ? 0 : g.num_nodes(), 0.0);
+  std::vector<double> score(g.num_edges(), 0.0);
   const auto sources = pick_sources(g, options);
-  for (NodeId s : sources) {
-    accumulate_from_source(g, weights, options.filter, s,
-                           edges ? &edge_score : nullptr, edges ? nullptr : &node_score);
-  }
+  for (NodeId s : sources) accumulate_from_source(g, weights, options.filter, s, score);
 
-  auto& score = edges ? edge_score : node_score;
   const double n = static_cast<double>(g.num_nodes());
   double factor = 1.0;
   if (!sources.empty() && sources.size() < g.num_nodes()) {
@@ -116,18 +111,6 @@ std::vector<double> run(const DiGraph& g, std::span<const double> weights,
   if (options.normalize && n > 1.0) factor /= n * (n - 1.0);
   for (double& v : score) v *= factor;
   return score;
-}
-
-}  // namespace
-
-std::vector<double> edge_betweenness(const DiGraph& g, std::span<const double> weights,
-                                     const BetweennessOptions& options) {
-  return run(g, weights, options, /*edges=*/true);
-}
-
-std::vector<double> node_betweenness(const DiGraph& g, std::span<const double> weights,
-                                     const BetweennessOptions& options) {
-  return run(g, weights, options, /*edges=*/false);
 }
 
 }  // namespace mts

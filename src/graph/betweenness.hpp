@@ -30,8 +30,4 @@ struct BetweennessOptions {
 std::vector<double> edge_betweenness(const DiGraph& g, std::span<const double> weights,
                                      const BetweennessOptions& options = {});
 
-/// Node betweenness centrality (one value per node; endpoints excluded).
-std::vector<double> node_betweenness(const DiGraph& g, std::span<const double> weights,
-                                     const BetweennessOptions& options = {});
-
 }  // namespace mts

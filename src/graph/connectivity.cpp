@@ -6,31 +6,6 @@
 
 namespace mts {
 
-std::vector<std::uint8_t> reachable_from(const DiGraph& g, NodeId source,
-                                         const EdgeFilter* filter) {
-  require(g.finalized(), "reachable_from: graph not finalized");
-  std::vector<std::uint8_t> seen(g.num_nodes(), 0);
-  std::vector<NodeId> stack = {source};
-  seen[source.value()] = 1;
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    for (EdgeId e : g.out_edges(u)) {
-      if (!edge_alive(filter, e)) continue;
-      const NodeId v = g.edge_to(e);
-      if (!seen[v.value()]) {
-        seen[v.value()] = 1;
-        stack.push_back(v);
-      }
-    }
-  }
-  return seen;
-}
-
-bool is_reachable(const DiGraph& g, NodeId source, NodeId target, const EdgeFilter* filter) {
-  return reachable_from(g, source, filter)[target.value()] != 0;
-}
-
 std::uint32_t SccResult::largest() const {
   const auto all = sizes();
   const auto it = std::max_element(all.begin(), all.end());

@@ -1,4 +1,4 @@
-// Reachability and strongly connected components.
+// Strongly connected components.
 //
 // City generators keep only the largest SCC so every sampled (source,
 // hospital) pair is mutually routable, matching the OSMnx preprocessing
@@ -11,14 +11,6 @@
 #include "graph/edge_filter.hpp"
 
 namespace mts {
-
-/// Per-node mask of nodes reachable from `source` along alive edges.
-std::vector<std::uint8_t> reachable_from(const DiGraph& g, NodeId source,
-                                         const EdgeFilter* filter = nullptr);
-
-/// True if `target` is reachable from `source`.
-bool is_reachable(const DiGraph& g, NodeId source, NodeId target,
-                  const EdgeFilter* filter = nullptr);
 
 struct SccResult {
   std::vector<std::uint32_t> component;  // per node, dense component ids

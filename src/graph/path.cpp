@@ -60,11 +60,6 @@ bool is_simple_path(const DiGraph& g, const Path& path, NodeId source, NodeId ta
   return true;
 }
 
-Path reweight_path(Path path, std::span<const double> weights) {
-  path.length = path_length(path.edges, weights);
-  return path;
-}
-
 std::uint64_t path_signature(const Path& path) {
   // FNV-1a over the edge id stream.
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -38,9 +38,6 @@ std::vector<NodeId> path_nodes(const DiGraph& g, const Path& path);
 /// Validates edge connectivity, endpoints, and node-simplicity.
 bool is_simple_path(const DiGraph& g, const Path& path, NodeId source, NodeId target);
 
-/// Recomputes `path.length` under a different weight vector.
-Path reweight_path(Path path, std::span<const double> weights);
-
 /// Order-independent 64-bit signature of the edge sequence, for candidate
 /// de-duplication in Yen's algorithm.
 std::uint64_t path_signature(const Path& path);

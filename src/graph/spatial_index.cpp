@@ -14,28 +14,7 @@ double point_distance(double x1, double y1, double x2, double y2) {
   return std::hypot(x1 - x2, y1 - y2);
 }
 
-struct SegmentProjectionXY {
-  double distance;
-  double t;
-  double x, y;
-};
-
-SegmentProjectionXY project(double px, double py, const IndexedSegment& s) {
-  const double dx = s.x2 - s.x1;
-  const double dy = s.y2 - s.y1;
-  const double len2 = dx * dx + dy * dy;
-  double t = 0.0;
-  if (len2 > 0.0) {
-    t = std::clamp(((px - s.x1) * dx + (py - s.y1) * dy) / len2, 0.0, 1.0);
-  }
-  const double cx = s.x1 + t * dx;
-  const double cy = s.y1 + t * dy;
-  return {point_distance(px, py, cx, cy), t, cx, cy};
-}
-
 }  // namespace
-
-// ---- PointGrid --------------------------------------------------------------
 
 PointGrid::PointGrid(std::vector<IndexedPoint> points, double cell_size)
     : points_(std::move(points)), cell_size_(cell_size) {
@@ -136,80 +115,6 @@ std::vector<std::uint32_t> PointGrid::within(double x, double y, double radius) 
     }
   }
   return out;
-}
-
-// ---- SegmentGrid ------------------------------------------------------------
-
-SegmentGrid::SegmentGrid(std::vector<IndexedSegment> segments, double cell_size)
-    : segments_(std::move(segments)), cell_size_(cell_size) {
-  require(cell_size > 0.0, "SegmentGrid: cell size must be positive");
-  if (segments_.empty()) {
-    cols_ = rows_ = 0;
-    return;
-  }
-  double max_x = -std::numeric_limits<double>::infinity();
-  double max_y = max_x;
-  min_x_ = min_y_ = std::numeric_limits<double>::infinity();
-  for (const auto& s : segments_) {
-    min_x_ = std::min({min_x_, s.x1, s.x2});
-    min_y_ = std::min({min_y_, s.y1, s.y2});
-    max_x = std::max({max_x, s.x1, s.x2});
-    max_y = std::max({max_y, s.y1, s.y2});
-  }
-  cols_ = static_cast<long>((max_x - min_x_) / cell_size_) + 1;
-  rows_ = static_cast<long>((max_y - min_y_) / cell_size_) + 1;
-  cells_.resize(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_));
-
-  for (std::uint32_t idx = 0; idx < segments_.size(); ++idx) {
-    const auto& s = segments_[idx];
-    const long lo_x = cell_x(std::min(s.x1, s.x2));
-    const long hi_x = cell_x(std::max(s.x1, s.x2));
-    const long lo_y = cell_y(std::min(s.y1, s.y2));
-    const long hi_y = cell_y(std::max(s.y1, s.y2));
-    for (long cy = lo_y; cy <= hi_y; ++cy) {
-      for (long cx = lo_x; cx <= hi_x; ++cx) {
-        cells_[static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_) +
-               static_cast<std::size_t>(cx)]
-            .push_back(idx);
-      }
-    }
-  }
-}
-
-long SegmentGrid::cell_x(double x) const {
-  return std::clamp(static_cast<long>((x - min_x_) / cell_size_), 0L, cols_ - 1);
-}
-long SegmentGrid::cell_y(double y) const {
-  return std::clamp(static_cast<long>((y - min_y_) / cell_size_), 0L, rows_ - 1);
-}
-
-std::optional<SegmentGrid::Hit> SegmentGrid::nearest(double x, double y) const {
-  if (segments_.empty()) return std::nullopt;
-  const long cx = cell_x(x);
-  const long cy = cell_y(y);
-
-  std::optional<Hit> best;
-  const long max_ring = std::max(cols_, rows_);
-  for (long ring = 0; ring <= max_ring; ++ring) {
-    if (best && static_cast<double>(ring - 1) * cell_size_ > best->distance) break;
-    for (long dy = -ring; dy <= ring; ++dy) {
-      for (long dx = -ring; dx <= ring; ++dx) {
-        if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
-        const long gx = cx + dx;
-        const long gy = cy + dy;
-        if (gx < 0 || gx >= cols_ || gy < 0 || gy >= rows_) continue;
-        for (std::uint32_t idx : cells_[static_cast<std::size_t>(gy) *
-                                            static_cast<std::size_t>(cols_) +
-                                        static_cast<std::size_t>(gx)]) {
-          const auto proj = project(x, y, segments_[idx]);
-          if (!best || proj.distance < best->distance) {
-            best = Hit{segments_[idx].id, proj.distance, proj.t, proj.x, proj.y};
-          }
-        }
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace mts

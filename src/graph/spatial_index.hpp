@@ -1,9 +1,8 @@
-// Uniform-grid spatial index for nearest-node and nearest-segment queries.
+// Uniform-grid spatial index for nearest-point and radius queries.
 //
-// POI snapping scans every road segment per hospital and the city
-// generator's avenue carving does nearest-node lookups per sample; both
-// are O(n) scans that dominate at paper-scale cities.  This bucket-grid
-// index makes them ~O(1) expected.
+// The city generator's avenue carving does nearest-node lookups per
+// sample, an O(n) scan that dominates at paper-scale cities.  This
+// bucket-grid index makes it ~O(1) expected.
 #pragma once
 
 #include <optional>
@@ -17,13 +16,6 @@ namespace mts {
 struct IndexedPoint {
   double x = 0.0;
   double y = 0.0;
-  std::uint32_t id = 0;
-};
-
-/// A 2D segment payload (for point-to-segment queries).
-struct IndexedSegment {
-  double x1 = 0.0, y1 = 0.0;
-  double x2 = 0.0, y2 = 0.0;
   std::uint32_t id = 0;
 };
 
@@ -54,35 +46,6 @@ class PointGrid {
 
   std::vector<IndexedPoint> points_;  // sorted by cell
   std::vector<CellRange> ranges_;
-  double cell_size_;
-  double min_x_ = 0.0, min_y_ = 0.0;
-  long cols_ = 0, rows_ = 0;
-};
-
-/// Bucketed uniform grid over segments; each segment is registered in all
-/// cells its bounding box overlaps.
-class SegmentGrid {
- public:
-  SegmentGrid(std::vector<IndexedSegment> segments, double cell_size);
-
-  struct Hit {
-    std::uint32_t id = 0;
-    double distance = 0.0;
-    double t = 0.0;       // parameter of the closest point on the segment
-    double x = 0.0, y = 0.0;
-  };
-
-  /// Closest segment to (x, y); exact (ring search with certified bound).
-  [[nodiscard]] std::optional<Hit> nearest(double x, double y) const;
-
-  [[nodiscard]] std::size_t size() const { return segments_.size(); }
-
- private:
-  [[nodiscard]] long cell_x(double x) const;
-  [[nodiscard]] long cell_y(double y) const;
-
-  std::vector<IndexedSegment> segments_;
-  std::vector<std::vector<std::uint32_t>> cells_;
   double cell_size_;
   double min_x_ = 0.0, min_y_ = 0.0;
   long cols_ = 0, rows_ = 0;

@@ -342,13 +342,6 @@ const std::string& RoadNetwork::segment_name(EdgeId e) const {
   return idx < 0 ? kEmpty : names_[static_cast<std::size_t>(idx)];
 }
 
-const Poi* RoadNetwork::find_poi(std::string_view name) const {
-  for (const auto& poi : pois_) {
-    if (poi.name == name) return &poi;
-  }
-  return nullptr;
-}
-
 std::vector<NodeId> RoadNetwork::intersection_nodes() const {
   std::vector<NodeId> out;
   for (NodeId n : graph_.nodes()) {

@@ -10,7 +10,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -88,8 +87,6 @@ class RoadNetwork {
   [[nodiscard]] OsmNodeId node_osm_id(NodeId n) const { return node_osm_ids_[n.value()]; }
 
   [[nodiscard]] const std::vector<Poi>& pois() const { return pois_; }
-  /// First POI whose name matches, or nullptr.
-  [[nodiscard]] const Poi* find_poi(std::string_view name) const;
 
   /// All real intersections (excludes POI and split-point nodes) — the
   /// sampling universe for attack sources.

@@ -1,5 +1,6 @@
 #include "osm/xml.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -10,6 +11,8 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -80,6 +83,21 @@ std::string xml_unescape(const std::string& escaped) {
   return out;
 }
 
+namespace {
+
+/// Writes `tags` in key order.  TagMap is a hash map, so its iteration
+/// order depends on the standard library's hashing; the file's bytes must
+/// not.
+void write_tags(const TagMap& tags, std::ostream& out) {
+  std::vector<std::pair<std::string, std::string>> sorted(tags.begin(), tags.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (const auto& [k, v] : sorted) {
+    out << "    <tag k=\"" << xml_escape(k) << "\" v=\"" << xml_escape(v) << "\"/>\n";
+  }
+}
+
+}  // namespace
+
 void write_osm_xml(const OsmData& data, std::ostream& out) {
   out << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
   out << "<osm version=\"0.6\" generator=\"mts-citygen\">\n";
@@ -91,9 +109,7 @@ void write_osm_xml(const OsmData& data, std::ostream& out) {
       out << "/>\n";
     } else {
       out << ">\n";
-      for (const auto& [k, v] : node.tags) {
-        out << "    <tag k=\"" << xml_escape(k) << "\" v=\"" << xml_escape(v) << "\"/>\n";
-      }
+      write_tags(node.tags, out);
       out << "  </node>\n";
     }
   }
@@ -102,9 +118,7 @@ void write_osm_xml(const OsmData& data, std::ostream& out) {
     for (OsmNodeId ref : way.node_refs) {
       out << "    <nd ref=\"" << ref.value() << "\"/>\n";
     }
-    for (const auto& [k, v] : way.tags) {
-      out << "    <tag k=\"" << xml_escape(k) << "\" v=\"" << xml_escape(v) << "\"/>\n";
-    }
+    write_tags(way.tags, out);
     out << "  </way>\n";
   }
   out << "</osm>\n";

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/edge_filter.hpp"
 #include "test_util.hpp"
 
@@ -18,7 +17,7 @@ bool still_connected(const DiGraph& g, const std::vector<EdgeId>& cut,
   for (EdgeId e : cut) filter.remove(e);
   for (NodeId u : g.nodes()) {
     if (in_area[u.value()] == (inbound ? 1 : 0)) continue;  // pick outside (inbound) nodes
-    const auto reach = reachable_from(g, u, &filter);
+    const auto reach = test::reachable_from(g, u, &filter);
     for (NodeId v : g.nodes()) {
       if (in_area[v.value()] == (inbound ? 0 : 1)) continue;
       if (reach[v.value()]) return true;

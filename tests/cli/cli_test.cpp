@@ -7,17 +7,17 @@
 #include <sstream>
 #include <utility>
 
+#include "test_util.hpp"
+
 namespace mts::cli {
 namespace {
 
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "mts_cli_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
     osm_path_ = (dir_ / "city.osm").string();
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   int run(std::initializer_list<std::string> args) {
     out_.str("");

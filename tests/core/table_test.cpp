@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/error.hpp"
+#include "test_util.hpp"
 
 namespace mts {
 namespace {
@@ -54,16 +55,13 @@ TEST(Table, CsvEscapesSpecialCharacters) {
 }
 
 TEST(Table, SaveCsvCreatesDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() / "mts_table_test";
-  std::filesystem::remove_all(dir);
-  const auto path = dir / "sub" / "out.csv";
+  const auto path = test::unique_temp_dir() / "sub" / "out.csv";
   sample_table().save_csv(path.string());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "City,Nodes");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(FormatFixed, RoundsToRequestedDecimals) {

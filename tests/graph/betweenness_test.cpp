@@ -69,33 +69,6 @@ TEST(Betweenness, FilterRedirectsFlow) {
   EXPECT_GT(eb[d.sb.value()], 0.0);
 }
 
-TEST(Betweenness, NodeVariantExcludesEndpoints) {
-  DiGraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  g.add_edge(a, b);
-  g.add_edge(b, c);
-  g.finalize();
-  const std::vector<double> w = {1.0, 1.0};
-  BetweennessOptions options;
-  options.normalize = false;
-  const auto nb = node_betweenness(g, w, options);
-  EXPECT_DOUBLE_EQ(nb[a.value()], 0.0);
-  EXPECT_DOUBLE_EQ(nb[b.value()], 1.0);  // only pair (a, c) passes through b
-  EXPECT_DOUBLE_EQ(nb[c.value()], 0.0);
-}
-
-TEST(Betweenness, GridCenterBeatsCorners) {
-  auto wg = test::make_grid(5, 5);
-  BetweennessOptions options;
-  options.normalize = false;
-  const auto nb = node_betweenness(wg.g, wg.weights, options);
-  const double center = nb[12];  // (2, 2)
-  const double corner = nb[0];
-  EXPECT_GT(center, corner * 2.0);
-}
-
 TEST(Betweenness, PivotSamplingApproximatesExact) {
   auto wg = test::make_grid(6, 6);
   const auto exact = edge_betweenness(wg.g, wg.weights);

@@ -7,6 +7,8 @@
 namespace mts {
 namespace {
 
+// The reachable_from oracle (test_util.hpp) that area_isolation_test
+// checks cuts against.
 TEST(Reachability, SimpleChain) {
   DiGraph g;
   const NodeId a = g.add_node();
@@ -15,8 +17,8 @@ TEST(Reachability, SimpleChain) {
   g.add_edge(a, b);
   g.add_edge(b, c);
   g.finalize();
-  EXPECT_TRUE(is_reachable(g, a, c));
-  EXPECT_FALSE(is_reachable(g, c, a));
+  EXPECT_TRUE(test::reachable_from(g, a)[c.value()]);
+  EXPECT_FALSE(test::reachable_from(g, c)[a.value()]);
 }
 
 TEST(Reachability, FilterBlocksPath) {
@@ -27,7 +29,7 @@ TEST(Reachability, FilterBlocksPath) {
   g.finalize();
   EdgeFilter filter(1);
   filter.remove(e);
-  EXPECT_FALSE(is_reachable(g, a, b, &filter));
+  EXPECT_FALSE(test::reachable_from(g, a, &filter)[b.value()]);
 }
 
 TEST(Scc, TwoCyclesOneBridge) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
-#include "graph/bellman_ford.hpp"
 #include "test_util.hpp"
 
 namespace mts {
@@ -104,7 +103,7 @@ TEST(Dijkstra, MatchesBellmanFordOnRandomGraphs) {
     auto wg = test::make_random_graph(60, 240, rng);
     const NodeId s(0);
     const auto dij = dijkstra(wg.g, wg.weights, s);
-    const auto bf = bellman_ford(wg.g, wg.weights, s);
+    const auto bf = test::bellman_ford(wg.g, wg.weights, s);
     for (NodeId n : wg.g.nodes()) {
       EXPECT_NEAR(dij.dist[n.value()], bf.dist[n.value()], 1e-9)
           << "seed " << seed << " node " << n.value();
@@ -121,7 +120,7 @@ TEST(Dijkstra, MatchesBellmanFordUnderFilter) {
   }
   const NodeId s(0);
   const auto dij = dijkstra(wg.g, wg.weights, s, {.filter = &filter});
-  const auto bf = bellman_ford(wg.g, wg.weights, s, &filter);
+  const auto bf = test::bellman_ford(wg.g, wg.weights, s, &filter);
   for (NodeId n : wg.g.nodes()) {
     if (bf.dist[n.value()] == kInfiniteDistance) {
       EXPECT_EQ(dij.dist[n.value()], kInfiniteDistance);

@@ -1,9 +1,9 @@
-// Randomized cross-engine equivalence: plain Dijkstra, A* driven by an
-// exact reverse-tree heuristic, and bidirectional search must return the
-// same path (same tie-broken edges, same length) on every query — with
-// and without edge filters and node bans.  This is the safety net for the
-// goal-directed spur engine: the reverse tree used here is the same
-// structure yen.cpp and the oracle use as a lower bound.
+// Randomized cross-engine equivalence: plain Dijkstra and Dijkstra pruned
+// by reverse-tree goal bounds must return the same path (same tie-broken
+// edges, same length) on every query — with and without edge filters and
+// node bans.  This is the safety net for the goal-directed spur engine:
+// the reverse tree used here is the same structure yen.cpp and the oracle
+// use as a lower bound.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "graph/astar.hpp"
-#include "graph/bidirectional.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/edge_filter.hpp"
 #include "graph/search_space.hpp"
@@ -26,14 +24,6 @@ namespace {
 
 using test::make_random_graph;
 using test::WeightedGraph;
-
-/// Exact admissible heuristic: remaining distance read off a reverse
-/// shortest-path tree rooted at the target.  Built over the *unfiltered*
-/// graph even when the query is filtered — removals only lengthen paths,
-/// so the bound stays admissible (and consistent), mirroring the oracle.
-Heuristic reverse_tree_heuristic(const SearchSpace& reverse_tree) {
-  return [&reverse_tree](NodeId n) { return reverse_tree.dist(n); };
-}
 
 void expect_same_path(const std::optional<Path>& expected, const std::optional<Path>& actual,
                       const char* engine) {
@@ -53,16 +43,19 @@ void check_all_engines(const DiGraph& g, const std::vector<double>& weights, Nod
   dijkstra(plain_ws, g, weights, s, options);
   const auto plain = extract_path(g, plain_ws, s, t);
 
-  // A* runs in the thread's slot 0, so the reverse tree lives in a local
-  // workspace here (production code holds it in slot 1 or a member).
+  // The reverse tree is built over the *unfiltered* graph even when the
+  // query is filtered: removals and bans only lengthen paths, so its
+  // distances stay admissible lower bounds, mirroring the oracle.  The
+  // prune bound is the exact answer, the tightest one that must still
+  // let the optimal path through.
   SearchSpace reverse_tree;
   reverse_dijkstra(reverse_tree, g, weights, t);
-  const auto goal_directed =
-      astar(g, weights, s, t, reverse_tree_heuristic(reverse_tree), filter, banned);
-  expect_same_path(plain, goal_directed.path, "astar");
-
-  const auto bidirectional = bidirectional_shortest_path(g, weights, s, t, filter, banned);
-  expect_same_path(plain, bidirectional.path, "bidirectional");
+  DijkstraOptions bounded_options = options;
+  bounded_options.goal_bounds = &reverse_tree;
+  if (plain.has_value()) bounded_options.prune_bound = plain->length;
+  SearchSpace bounded_ws;
+  dijkstra(bounded_ws, g, weights, s, bounded_options);
+  expect_same_path(plain, extract_path(g, bounded_ws, s, t), "goal-bounded dijkstra");
 }
 
 TEST(EngineEquivalence, RandomGraphsAgreeUnfiltered) {

@@ -46,16 +46,6 @@ TEST(Path, RepeatedNodeRejected) {
   EXPECT_FALSE(is_simple_path(g, Path{{ab, ba, ab2}, 0}, a, b));
 }
 
-TEST(Path, ReweightRecomputesLength) {
-  test::Diamond d;
-  Path path{{d.sa, d.at}, 999.0};
-  std::vector<double> doubled;
-  for (double w : d.wg.weights) doubled.push_back(2.0 * w);
-  const Path reweighted = reweight_path(path, doubled);
-  EXPECT_DOUBLE_EQ(reweighted.length, 4.0);
-  EXPECT_EQ(reweighted.edges, path.edges);
-}
-
 TEST(Path, SignatureDistinguishesPathsAndOrder) {
   test::Diamond d;
   const Path p1{{d.sa, d.at}, 0};

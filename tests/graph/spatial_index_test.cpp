@@ -83,60 +83,5 @@ TEST(PointGrid, RejectsBadCellSize) {
   EXPECT_THROW(PointGrid({}, 0.0), PreconditionViolation);
 }
 
-TEST(SegmentGrid, NearestMatchesBruteForce) {
-  Rng rng(13);
-  std::vector<IndexedSegment> segments;
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    const double x = rng.uniform(0, 1000);
-    const double y = rng.uniform(0, 1000);
-    segments.push_back({x, y, x + rng.uniform(-120, 120), y + rng.uniform(-120, 120), i});
-  }
-  SegmentGrid grid(segments, 60.0);
-
-  auto brute = [&](double px, double py) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& s : segments) {
-      const double dx = s.x2 - s.x1;
-      const double dy = s.y2 - s.y1;
-      const double len2 = dx * dx + dy * dy;
-      double t = 0.0;
-      if (len2 > 0) t = std::clamp(((px - s.x1) * dx + (py - s.y1) * dy) / len2, 0.0, 1.0);
-      best = std::min(best, std::hypot(px - (s.x1 + t * dx), py - (s.y1 + t * dy)));
-    }
-    return best;
-  };
-
-  for (int q = 0; q < 100; ++q) {
-    const double x = rng.uniform(-50, 1050);
-    const double y = rng.uniform(-50, 1050);
-    const auto hit = grid.nearest(x, y);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_NEAR(hit->distance, brute(x, y), 1e-9) << "query " << q;
-  }
-}
-
-TEST(SegmentGrid, HitReportsProjection) {
-  SegmentGrid grid({{0, 0, 10, 0, 7}}, 5.0);
-  const auto hit = grid.nearest(5, 3);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->id, 7u);
-  EXPECT_NEAR(hit->t, 0.5, 1e-12);
-  EXPECT_NEAR(hit->distance, 3.0, 1e-12);
-  EXPECT_NEAR(hit->x, 5.0, 1e-12);
-  EXPECT_NEAR(hit->y, 0.0, 1e-12);
-}
-
-TEST(SegmentGrid, DegenerateSegment) {
-  SegmentGrid grid({{3, 4, 3, 4, 1}}, 5.0);
-  const auto hit = grid.nearest(0, 0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_NEAR(hit->distance, 5.0, 1e-12);
-}
-
-TEST(SegmentGrid, EmptyIndex) {
-  SegmentGrid grid({}, 5.0);
-  EXPECT_FALSE(grid.nearest(0, 0).has_value());
-}
-
 }  // namespace
 }  // namespace mts

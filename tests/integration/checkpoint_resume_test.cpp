@@ -15,16 +15,10 @@
 #include "exp/json_report.hpp"
 #include "exp/table_runner.hpp"
 #include "obs/metrics.hpp"
+#include "test_util.hpp"
 
 namespace mts::exp {
 namespace {
-
-std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 /// Same configuration as the checked-in golden file.
 RunConfig small_config() {
@@ -47,7 +41,7 @@ std::string csv_of(const CityTableResult& result) {
 }
 
 TEST(CheckpointJournalTest, AppendLoadRoundTripsExactly) {
-  const auto dir = fresh_dir("mts_checkpoint_test");
+  const auto dir = test::unique_temp_dir();
   const std::string path = (dir / "journal.jsonl").string();
 
   CellRecord record;
@@ -89,12 +83,12 @@ TEST(CheckpointJournalTest, AppendLoadRoundTripsExactly) {
 }
 
 TEST(CheckpointJournalTest, LoadOfMissingFileIsEmpty) {
-  const auto dir = fresh_dir("mts_checkpoint_missing");
+  const auto dir = test::unique_temp_dir();
   EXPECT_TRUE(CheckpointJournal::load((dir / "nope.jsonl").string(), "fp").empty());
 }
 
 TEST(CheckpointJournalTest, FingerprintMismatchThrows) {
-  const auto dir = fresh_dir("mts_checkpoint_fp");
+  const auto dir = test::unique_temp_dir();
   const std::string path = (dir / "journal.jsonl").string();
   { CheckpointJournal journal(path, "config-A"); }
   EXPECT_THROW(CheckpointJournal::load(path, "config-B"), InvalidInput);
@@ -105,7 +99,7 @@ TEST(CheckpointJournalTest, FingerprintMismatchThrows) {
 }
 
 TEST(CheckpointJournalTest, TornTrailingLineIsSkippedInteriorCorruptionThrows) {
-  const auto dir = fresh_dir("mts_checkpoint_torn");
+  const auto dir = test::unique_temp_dir();
   const std::string path = (dir / "journal.jsonl").string();
   CellRecord record;
   record.task = 3;
@@ -179,7 +173,7 @@ class CheckpointResumeTest : public ::testing::Test {
 };
 
 TEST_F(CheckpointResumeTest, FaultedRunPlusResumeIsByteIdenticalAtEveryThreadCount) {
-  const auto dir = fresh_dir("mts_checkpoint_resume");
+  const auto dir = test::unique_temp_dir();
   const auto clean = run_city_table(small_config());
   const std::string clean_json = to_json(clean);
   const std::string clean_csv = csv_of(clean);
@@ -225,7 +219,7 @@ TEST_F(CheckpointResumeTest, TrialDroppedDuringSamplingResumesByteIdentically) {
   // records must replay into the right cells and the disarmed resume must
   // reduce to the exact clean-run bytes.  (Position-keyed ids replayed the
   // wrong trial's cells and double-counted the survivor.)
-  const auto dir = fresh_dir("mts_checkpoint_dropped_trial");
+  const auto dir = test::unique_temp_dir();
   const std::string journal = (dir / "journal.jsonl").string();
   const auto clean = run_city_table(small_config());
   const std::string clean_json = to_json(clean);
@@ -248,7 +242,7 @@ TEST_F(CheckpointResumeTest, TrialDroppedDuringSamplingResumesByteIdentically) {
 }
 
 TEST_F(CheckpointResumeTest, ResumeOfCompleteJournalRecomputesNothing) {
-  const auto dir = fresh_dir("mts_checkpoint_full");
+  const auto dir = test::unique_temp_dir();
   const std::string journal = (dir / "journal.jsonl").string();
   RunConfig first = small_config();
   first.checkpoint_path = journal;

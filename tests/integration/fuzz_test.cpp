@@ -9,8 +9,6 @@
 #include "core/error.hpp"
 #include "attack/exact.hpp"
 #include "attack/verify.hpp"
-#include "graph/bellman_ford.hpp"
-#include "graph/bidirectional.hpp"
 #include "graph/contraction_hierarchy.hpp"
 #include "graph/yen.hpp"
 #include "osm/xml.hpp"
@@ -64,11 +62,8 @@ TEST(Fuzz, RoutingAlgorithmsAgreeOnNastyGraphs) {
     if (s == t) continue;
 
     const double via_dijkstra = shortest_distance(wg.g, wg.weights, s, t);
-    const double via_bf = bellman_ford(wg.g, wg.weights, s).dist[t.value()];
+    const double via_bf = test::bellman_ford(wg.g, wg.weights, s).dist[t.value()];
     expect_same_distance(via_dijkstra, via_bf);
-    const auto via_bidi = bidirectional_shortest_path(wg.g, wg.weights, s, t);
-    expect_same_distance(via_dijkstra,
-                         via_bidi.path ? via_bidi.path->length : kInfiniteDistance);
     // CH on graphs with zero-weight cycles is still exact for distances.
     const auto ch = ContractionHierarchy::build(wg.g, wg.weights);
     expect_same_distance(via_dijkstra, ch.distance(s, t));
@@ -318,9 +313,8 @@ TEST(Fuzz, DegenerateGraphsDoNotBreakRouting) {
   split.check_invariants();
   const std::vector<double> split_w(split.num_edges(), 1.0);
   EXPECT_EQ(shortest_distance(split, split_w, NodeId(0), NodeId(5)), kInfiniteDistance);
-  EXPECT_FALSE(bidirectional_shortest_path(split, split_w, NodeId(0), NodeId(5)).path);
   EXPECT_TRUE(yen_ksp(split, split_w, NodeId(0), NodeId(5), 3).empty());
-  const auto bf = bellman_ford(split, split_w, NodeId(0));
+  const auto bf = test::bellman_ford(split, split_w, NodeId(0));
   EXPECT_EQ(bf.dist[5], kInfiniteDistance);
   EXPECT_NEAR(bf.dist[2], 2.0, 1e-12);
 }

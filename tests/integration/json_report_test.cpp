@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "obs/metrics.hpp"
+#include "test_util.hpp"
 
 namespace mts::exp {
 namespace {
@@ -64,15 +65,12 @@ TEST(JsonReport, BalancedAndComplete) {
 }
 
 TEST(JsonReport, SaveCreatesFile) {
-  const auto dir = std::filesystem::temp_directory_path() / "mts_json_test";
-  std::filesystem::remove_all(dir);
-  const auto path = (dir / "sub" / "r.json").string();
+  const auto path = (test::unique_temp_dir() / "sub" / "r.json").string();
   save_json(small_result(), path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)), {});
   EXPECT_EQ(content, to_json(small_result()));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(JsonReport, NumbersAreFiniteAndPlain) {
@@ -88,15 +86,12 @@ class ObsSuffixTest : public ::testing::Test {
  protected:
   void SetUp() override {
     unsetenv("MTS_OBS_SUFFIX");
-    dir_ = std::filesystem::temp_directory_path() / "mts_obs_suffix_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
     obs::set_metrics_enabled(true);
   }
   void TearDown() override {
     unsetenv("MTS_OBS_SUFFIX");
     obs::set_metrics_enabled(false);
-    std::filesystem::remove_all(dir_);
   }
   std::filesystem::path dir_;
 };

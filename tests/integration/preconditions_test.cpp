@@ -21,10 +21,7 @@
 #include "core/stats.hpp"
 #include "core/table.hpp"
 #include "exp/scenario.hpp"
-#include "graph/astar.hpp"
-#include "graph/bellman_ford.hpp"
 #include "graph/betweenness.hpp"
-#include "graph/bidirectional.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/contraction_hierarchy.hpp"
 #include "graph/dijkstra.hpp"
@@ -32,7 +29,6 @@
 #include "graph/maxflow.hpp"
 #include "graph/metrics.hpp"
 #include "graph/spatial_index.hpp"
-#include "graph/turn_expansion.hpp"
 #include "graph/yen.hpp"
 #include "lp/simplex.hpp"
 #include "osm/road_network.hpp"
@@ -89,34 +85,6 @@ TEST(Preconditions, Dijkstra) {
   expect_precondition([&] { shortest_path(d.wg.g, negative, d.s, d.t); }, "negative");
 }
 
-TEST(Preconditions, AStar) {
-  test::Diamond d;
-  const auto h = euclidean_heuristic(d.wg.g, d.t);
-  const std::vector<double> short_weights(2, 1.0);
-  expect_precondition([&] { astar(d.wg.g, short_weights, d.s, d.t, h); }, "size mismatch");
-  expect_precondition([&] { astar(d.wg.g, d.wg.weights, NodeId(99), d.t, h); }, "out of range");
-  expect_precondition([&] { max_admissible_rate(d.wg.g, short_weights); }, "size mismatch");
-
-  auto negative = d.wg.weights;
-  negative[d.sa.value()] = -0.5;
-  expect_precondition([&] { astar(d.wg.g, negative, d.s, d.t, h); }, "negative");
-}
-
-TEST(Preconditions, BidirectionalAndBellmanFord) {
-  test::Diamond d;
-  const std::vector<double> short_weights(2, 1.0);
-  expect_precondition([&] { bidirectional_shortest_path(d.wg.g, short_weights, d.s, d.t); },
-                      "size mismatch");
-  expect_precondition(
-      [&] { bidirectional_shortest_path(d.wg.g, d.wg.weights, d.s, NodeId(42)); },
-      "out of range");
-  expect_precondition([&] { bellman_ford(d.wg.g, short_weights, d.s); }, "size mismatch");
-
-  auto negative = d.wg.weights;
-  negative[d.st.value()] = -2.0;
-  expect_precondition([&] { bellman_ford(d.wg.g, negative, d.s); }, "negative");
-}
-
 TEST(Preconditions, YenAndSecondShortest) {
   test::Diamond d;
   DiGraph unfinalized;
@@ -144,7 +112,6 @@ TEST(Preconditions, CentralityAndConnectivity) {
   const std::vector<double> short_weights(2, 1.0);
   expect_precondition([&] { edge_betweenness(d.wg.g, short_weights); }, "size mismatch");
   expect_precondition([&] { eigenvector_centrality(unfinalized); }, "not finalized");
-  expect_precondition([&] { reachable_from(unfinalized, NodeId(0)); }, "not finalized");
   expect_precondition([&] { strongly_connected_components(unfinalized); }, "not finalized");
 }
 
@@ -176,27 +143,8 @@ TEST(Preconditions, ContractionHierarchy) {
   expect_precondition([&] { static_cast<void>(ch.query(d.s, NodeId(50))); }, "out of range");
 }
 
-TEST(Preconditions, TurnExpansion) {
-  test::Diamond d;
-  expect_precondition([&] { classify_turn(d.wg.g, d.sa, d.bt); }, "do not meet");
-
-  const std::vector<double> short_weights(2, 1.0);
-  expect_precondition(
-      [&] { TurnAwareRouter(d.wg.g, short_weights, standard_turn_policy(d.wg.g)); },
-      "size mismatch");
-
-  const TurnAwareRouter router(d.wg.g, d.wg.weights, standard_turn_policy(d.wg.g));
-  expect_precondition([&] { static_cast<void>(router.shortest_path(d.s, NodeId(77))); },
-                      "out of range");
-
-  const auto negative_policy = [](EdgeId, EdgeId) { return std::optional<double>(-1.0); };
-  expect_precondition([&] { TurnAwareRouter(d.wg.g, d.wg.weights, negative_policy); },
-                      "negative turn penalty");
-}
-
 TEST(Preconditions, SpatialIndex) {
   expect_precondition([] { PointGrid({}, 0.0); }, "cell size");
-  expect_precondition([] { SegmentGrid({}, -1.0); }, "cell size");
 }
 
 TEST(Preconditions, Metrics) {

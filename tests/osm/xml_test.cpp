@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/error.hpp"
 
@@ -67,6 +68,58 @@ TEST(OsmXml, WriteParseRoundTrip) {
             (std::vector<OsmNodeId>{OsmNodeId(1), OsmNodeId(2)}));
   EXPECT_EQ(*parsed.ways[0].tag("maxspeed"), "25 mph");
   EXPECT_EQ(*parsed.ways[0].tag("oneway"), "yes");
+}
+
+// `mts generate` output must not depend on the standard library's hash
+// order: tags come out sorted by key whatever order they went in.
+TEST(OsmXml, WriterBytesArePinnedWithTagsInKeyOrder) {
+  OsmData data;
+  OsmNode plain;
+  plain.id = OsmNodeId(1);
+  plain.lat = 42.5;
+  plain.lon = -71.25;
+  OsmNode poi;
+  poi.id = OsmNodeId(2);
+  poi.lat = 42.75;
+  poi.lon = -71.125;
+  for (const char* key : {"name", "emergency", "amenity", "operator", "beds"}) {
+    poi.tags[key] = std::string(key) + "-value";
+  }
+  poi.tags["name"] = "A & B";
+  data.nodes = {plain, poi};
+  OsmWay way;
+  way.id = OsmWayId(100);
+  way.node_refs = {OsmNodeId(1), OsmNodeId(2)};
+  for (const char* key : {"lanes", "highway", "surface", "maxspeed", "name", "oneway", "width"}) {
+    way.tags[key] = std::string(key) + "-value";
+  }
+  data.ways = {way};
+
+  std::ostringstream out;
+  write_osm_xml(data, out);
+  EXPECT_EQ(out.str(),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+            "<osm version=\"0.6\" generator=\"mts-citygen\">\n"
+            "  <node id=\"1\" lat=\"42.5\" lon=\"-71.25\"/>\n"
+            "  <node id=\"2\" lat=\"42.75\" lon=\"-71.125\">\n"
+            "    <tag k=\"amenity\" v=\"amenity-value\"/>\n"
+            "    <tag k=\"beds\" v=\"beds-value\"/>\n"
+            "    <tag k=\"emergency\" v=\"emergency-value\"/>\n"
+            "    <tag k=\"name\" v=\"A &amp; B\"/>\n"
+            "    <tag k=\"operator\" v=\"operator-value\"/>\n"
+            "  </node>\n"
+            "  <way id=\"100\">\n"
+            "    <nd ref=\"1\"/>\n"
+            "    <nd ref=\"2\"/>\n"
+            "    <tag k=\"highway\" v=\"highway-value\"/>\n"
+            "    <tag k=\"lanes\" v=\"lanes-value\"/>\n"
+            "    <tag k=\"maxspeed\" v=\"maxspeed-value\"/>\n"
+            "    <tag k=\"name\" v=\"name-value\"/>\n"
+            "    <tag k=\"oneway\" v=\"oneway-value\"/>\n"
+            "    <tag k=\"surface\" v=\"surface-value\"/>\n"
+            "    <tag k=\"width\" v=\"width-value\"/>\n"
+            "  </way>\n"
+            "</osm>\n");
 }
 
 TEST(OsmXml, ParsesSingleQuotedAttributesAndComments) {

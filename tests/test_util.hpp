@@ -2,11 +2,19 @@
 // generation, and brute-force oracles to cross-check fast algorithms.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <span>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "graph/digraph.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/edge_filter.hpp"
 #include "graph/path.hpp"
 
@@ -90,6 +98,32 @@ inline WeightedGraph make_random_graph(int n, int extra_edges, Rng& rng) {
   return wg;
 }
 
+/// An empty scratch directory private to this process and the running
+/// test: `<tmp>/mts_<pid>_<suite>_<test>`.  gtest_discover_tests runs each
+/// case as its own process and `ctest -j` runs them at once, so a fixed
+/// name would let one case's cleanup delete another's files.  Every
+/// directory handed out is removed when the process exits.
+inline std::filesystem::path unique_temp_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = "mts_" + std::to_string(::getpid());
+  if (info != nullptr) name += std::string("_") + info->test_suite_name() + "_" + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  struct RemoveAtExit {
+    std::vector<std::filesystem::path> dirs;
+    ~RemoveAtExit() {
+      std::error_code ignored;
+      for (const auto& d : dirs) std::filesystem::remove_all(d, ignored);
+    }
+  };
+  static RemoveAtExit registry;
+  registry.dirs.push_back(dir);
+  return dir;
+}
+
 /// Brute-force enumeration of all simple s->t paths (for small graphs),
 /// sorted by length then lexicographically by edge ids.
 inline std::vector<Path> enumerate_simple_paths(const DiGraph& g,
@@ -122,6 +156,57 @@ inline std::vector<Path> enumerate_simple_paths(const DiGraph& g,
     return x.edges < y.edges;
   });
   return result;
+}
+
+/// Bellman-Ford SSSP: slower than Dijkstra but independent of it, so it
+/// is the reference the search engines are checked against.  Weights are
+/// non-negative road metrics, so it converges in <= |V| rounds.
+inline ShortestPathTree bellman_ford(const DiGraph& g, std::span<const double> weights,
+                                     NodeId source, const EdgeFilter* filter = nullptr) {
+  ShortestPathTree tree;
+  tree.dist.assign(g.num_nodes(), kInfiniteDistance);
+  tree.parent_edge.assign(g.num_nodes(), EdgeId::invalid());
+  tree.dist[source.value()] = 0.0;
+
+  bool changed = true;
+  for (std::size_t round = 0; round < g.num_nodes() && changed; ++round) {
+    changed = false;
+    for (EdgeId e : g.edges()) {
+      if (!edge_alive(filter, e)) continue;
+      const NodeId u = g.edge_from(e);
+      const NodeId v = g.edge_to(e);
+      if (tree.dist[u.value()] == kInfiniteDistance) continue;
+      const double candidate = tree.dist[u.value()] + weights[e.value()];
+      if (candidate < tree.dist[v.value()]) {
+        tree.dist[v.value()] = candidate;
+        tree.parent_edge[v.value()] = e;
+        changed = true;
+      }
+    }
+  }
+  return tree;
+}
+
+/// Per-node mask of nodes reachable from `source` along alive edges
+/// (iterative DFS).
+inline std::vector<std::uint8_t> reachable_from(const DiGraph& g, NodeId source,
+                                                const EdgeFilter* filter = nullptr) {
+  std::vector<std::uint8_t> seen(g.num_nodes(), 0);
+  std::vector<NodeId> stack = {source};
+  seen[source.value()] = 1;
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    for (EdgeId e : g.out_edges(u)) {
+      if (!edge_alive(filter, e)) continue;
+      const NodeId v = g.edge_to(e);
+      if (!seen[v.value()]) {
+        seen[v.value()] = 1;
+        stack.push_back(v);
+      }
+    }
+  }
+  return seen;
 }
 
 }  // namespace mts::test

@@ -3,8 +3,9 @@
 violating snippet with the exact rule id, path, and line number, and stay
 quiet on the sanctioned patterns (allowlist entries, suppressions).
 
-Each test builds a throwaway repo skeleton (src/ plus a healthy workflow
-file), plants one violation, and asserts the reported triple.  Runs via the
+Each test builds a throwaway repo skeleton (src/ with the search engine
+files the no-search-alloc rule lists, plus a healthy workflow file), plants
+one violation, and asserts the reported triple.  Runs via the
 `lint_tool` ctest entry or directly: python3 tests/tools/lint_tool_test.py
 """
 
@@ -65,6 +66,8 @@ class LintFixtureTest(unittest.TestCase):
         workflow = self.root / ".github" / "workflows" / "ci.yml"
         workflow.parent.mkdir(parents=True)
         workflow.write_text(HEALTHY_WORKFLOW)
+        for engine in ("search_space.cpp", "dijkstra.cpp"):
+            self.write(f"src/graph/{engine}", "int engine();\n")
 
     def tearDown(self) -> None:
         self._tmp.cleanup()
@@ -180,6 +183,11 @@ class LintFixtureTest(unittest.TestCase):
                    "}\n")
         self.assert_fires("src/graph/dijkstra.cpp", 4, "no-search-alloc")
 
+    def test_no_search_alloc_missing_engine_file(self) -> None:
+        # A renamed or deleted engine must not switch the rule off silently.
+        (self.root / "src" / "graph" / "dijkstra.cpp").unlink()
+        self.assert_fires("src/graph/dijkstra.cpp", 1, "no-search-alloc")
+
     def test_no_raw_getenv(self) -> None:
         self.write("src/exp/bad.cpp",
                    "#include <cstdlib>\n"
@@ -218,6 +226,54 @@ class LintFixtureTest(unittest.TestCase):
                    "  }\n"
                    "}\n")
         self.assert_fires("src/exp/bad.cpp", 5, "no-unordered-output")
+
+    def test_no_unordered_output_follows_aliases_across_files(self) -> None:
+        # The container type hides behind an alias declared in a header, and
+        # the walked member is declared there too (osm::TagMap's shape).
+        self.write("src/osm/model.hpp",
+                   "#pragma once\n"
+                   "#include <string>\n"
+                   "#include <unordered_map>\n"
+                   "using TagMap = std::unordered_map<std::string, std::string>;\n"
+                   "struct Way {\n"
+                   "  TagMap tags;\n"
+                   "};\n")
+        self.write("src/osm/xml.cpp",
+                   "#include \"osm/model.hpp\"\n"
+                   "void emit(const Way& way) {\n"
+                   "  for (const auto& [k, v] : way.tags) {\n"
+                   "  }\n"
+                   "}\n")
+        self.assert_fires("src/osm/xml.cpp", 3, "no-unordered-output")
+        proc = run_lint(self.root, "--files", "src/osm/xml.cpp")
+        self.assertEqual(violations(proc), [("src/osm/xml.cpp", 3, "no-unordered-output")],
+                         proc.stdout)
+
+    def test_no_shared_temp_dir(self) -> None:
+        self.write("tests/cli/bad_test.cpp",
+                   "#include <filesystem>\n"
+                   "void setup() {\n"
+                   "  const auto dir = std::filesystem::temp_directory_path() / \"mts_cli_test\";\n"
+                   "}\n")
+        self.assert_fires("tests/cli/bad_test.cpp", 3, "no-shared-temp-dir")
+
+    def test_no_shared_temp_dir_catches_a_name_from_a_variable(self) -> None:
+        self.write("tests/exp/bad_test.cpp",
+                   "#include <filesystem>\n"
+                   "#include <string>\n"
+                   "auto fresh(const std::string& name) {\n"
+                   "  return std::filesystem::temp_directory_path() / name;\n"
+                   "}\n")
+        self.assert_fires("tests/exp/bad_test.cpp", 4, "no-shared-temp-dir")
+
+    def test_no_shared_temp_dir_allows_the_helper(self) -> None:
+        self.write("tests/test_util.hpp",
+                   "#pragma once\n"
+                   "#include <filesystem>\n"
+                   "inline auto unique_temp_dir() {\n"
+                   "  return std::filesystem::temp_directory_path() / \"mts_1_Suite_Case\";\n"
+                   "}\n")
+        self.assert_clean()
 
     def test_ci_workflow_missing_file(self) -> None:
         (self.root / ".github" / "workflows" / "ci.yml").unlink()

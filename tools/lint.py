@@ -33,11 +33,13 @@ Rules (see DESIGN.md "Correctness tooling"):
                    an unknown exception hides injected faults and real bugs
                    alike (src/core/error.cpp, the taxonomy implementation,
                    is the one legitimate bare sink)
-  no-search-alloc  the point-to-point search engines (dijkstra/astar/
-                   bidirectional + search_space itself) must not size a
-                   container to num_nodes per call — per-search storage
-                   lives in the epoch-stamped SearchSpace precisely so the
-                   Yen/oracle hot loops stop allocating (DESIGN.md §9)
+  no-search-alloc  the point-to-point search engine (dijkstra + search_space
+                   itself) must not size a container to num_nodes per call —
+                   per-search storage lives in the epoch-stamped SearchSpace
+                   precisely so the Yen/oracle hot loops stop allocating
+                   (DESIGN.md §9).  A listed engine file that no longer
+                   exists is itself a violation, so the rule cannot
+                   silently switch off
   no-raw-getenv    no direct std::getenv in library code — every MTS_* knob
                    flows through mts::env_raw / env_int / env_string
                    (core/env.hpp), the single audited entry point for
@@ -54,8 +56,16 @@ Rules (see DESIGN.md "Correctness tooling"):
                    no range-for iteration over a std::unordered_map/set in
                    library code — byte-deterministic stdout/CSV/JSON
                    depends on ordered emission, and hash-order iteration is
-                   the classic leak.  Provably order-insensitive folds
+                   the classic leak.  Follows `using X = std::unordered_...`
+                   aliases and names declared in src/ headers (e.g.
+                   osm::TagMap members).  Provably order-insensitive folds
                    (e.g. merging into a std::map) carry a suppression
+  no-shared-temp-dir
+                   no temp_directory_path() in tests/ outside
+                   tests/test_util.hpp — ctest -j runs every gtest case as
+                   its own process at once, so a fixed scratch path is
+                   shared and one case's cleanup deletes another's files;
+                   use mts::test::unique_temp_dir()
   ci-workflow      .github/workflows/ci.yml parses as YAML and carries a
                    job matrix covering every ci.sh leg (dev, asan, tsan)
                    plus the tidy gate, so the hosted gate can never
@@ -320,13 +330,16 @@ class Linter:
         # Scope: the engines the SearchSpace refactor de-allocated.  yen.cpp
         # keeps legitimate per-query scratch (candidate heap, root prefix),
         # so it is deliberately not listed.
-        engine_files = ["search_space.cpp", "dijkstra.cpp", "astar.cpp", "bidirectional.cpp"]
+        engine_files = ["search_space.cpp", "dijkstra.cpp"]
         pattern = re.compile(
             r"(?:\.assign\s*\([^;]*num_nodes\s*\(\s*\))|"
             r"(?:std\s*::\s*vector\s*<[^;=]*>\s*\w*\s*[({][^;]*num_nodes\s*\(\s*\))")
         for name in engine_files:
             path = self.root / "src" / "graph" / name
             if not path.is_file():
+                self.report(path, 1, "no-search-alloc",
+                            "listed engine file is missing; update the rule's list "
+                            "in tools/lint.py")
                 continue
             for lineno, line in self.match_lines(strip_code(path.read_text()), pattern):
                 self.report(path, lineno, "no-search-alloc",
@@ -388,11 +401,26 @@ class Linter:
         # a name declared as std::unordered_map/set in the same file;
         # provably order-insensitive folds carry a suppression comment with
         # justification (the snapshot() phase merge in obs/metrics.cpp is
-        # the exemplar).
-        decl = re.compile(r"std\s*::\s*unordered_(?:map|set)\s*<[^;{}()]*>\s+(\w+)")
+        # the exemplar).  A type alias (`using TagMap = std::unordered_map
+        # <...>`) anywhere in src/ counts as an unordered type, and names
+        # declared in src/ headers (struct members such as osm's `tags`)
+        # are visible to every file.  Both are collected from the whole
+        # tree, so --files mode sees them too.
+        unordered = r"std\s*::\s*unordered_(?:map|set)\s*<"
+        alias = re.compile(r"\busing\s+(\w+)\s*=\s*" + unordered)
+        src = self.root / "src"
+        everything = {p: strip_code(p.read_text())
+                      for p in sorted(src.rglob("*")) if p.suffix in CXX_SUFFIXES}
+        aliases = sorted({a for text in everything.values() for a in alias.findall(text)})
+        types = unordered + r"[^;{}()]*>"
+        if aliases:
+            types = r"(?:" + types + r"|\b(?:" + "|".join(aliases) + r")\b)"
+        decl = re.compile(types + r"\s+(\w+)")
+        header_names = {n for p, text in everything.items() if p.suffix == ".hpp"
+                        for n in decl.findall(text)}
         for path in self.files(LIB_DIRS, CXX_SUFFIXES):
-            stripped = strip_code(path.read_text())
-            names = set(decl.findall(stripped))
+            stripped = everything[path]
+            names = set(decl.findall(stripped)) | header_names
             if not names:
                 continue
             alternation = "|".join(re.escape(n) for n in sorted(names))
@@ -403,6 +431,25 @@ class Linter:
                             f"iteration over an unordered container; emit through "
                             f"an ordered structure (or justify with a suppression "
                             f"if the fold is order-insensitive): {line}")
+
+    def check_no_shared_temp_dir(self) -> None:
+        # gtest_discover_tests runs each case as its own process and ctest -j
+        # runs them concurrently, so `temp_directory_path() / "fixed"` is one
+        # directory shared by many processes: a TearDown's remove_all races
+        # another case's writes.  unique_temp_dir() names the directory from
+        # the pid and the running test; it is the one sanctioned caller.
+        pattern = re.compile(r"\btemp_directory_path\s*\(")
+        helper = self.root / "tests" / "test_util.hpp"
+        for path in self.files(["tests"], CXX_SUFFIXES):
+            if path == helper:
+                continue
+            text = path.read_text()
+            raw = text.splitlines()  # the stripped line has lost its literal
+            for lineno, _ in self.match_lines(strip_code(text), pattern):
+                self.report(path, lineno, "no-shared-temp-dir",
+                            f"shared scratch directory under temp_directory_path(); "
+                            f"use mts::test::unique_temp_dir() (tests/test_util.hpp): "
+                            f"{raw[lineno - 1].strip()}")
 
     def check_ci_workflow(self) -> None:
         workflow = self.root / ".github" / "workflows" / "ci.yml"
@@ -468,6 +515,7 @@ class Linter:
         self.check_no_raw_getenv()
         self.check_no_mutable_global()
         self.check_no_unordered_output()
+        self.check_no_shared_temp_dir()
         self.check_ci_workflow()
         # Stable output order regardless of rule execution order, so diffs
         # of lint output (and the fixture tests) are deterministic.
