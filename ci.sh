@@ -65,10 +65,11 @@ wait_port_file() {
 # Service smoke shared by the dev and asan legs: start `mts routed` on an
 # ephemeral port, replay load against it, then prove the SIGTERM drain —
 # the daemon must answer everything it parsed and exit 0.  Extra env (e.g.
-# MTS_FAULTS=routed.request:...) applies to the daemon only; with MTS_CH
-# unset the daemon serves route/kalt/table off the snapshot's contraction
-# hierarchy, so the asan leg's armed run exercises the CH query path under
-# sanitizers.
+# MTS_FAULTS=routed.request:...) applies to the daemon only.  The daemon
+# serves route/kalt/table off the snapshot's contraction hierarchies, so
+# the asan leg's armed run exercises the CH query path under sanitizers.
+# (CH answers are checked against the reference Dijkstra/Yen engines by
+# the ChServing suite.)
 routed_smoke() {
   local preset="$1"; shift
   local mts="build-$preset/src/cli/mts"
@@ -177,63 +178,12 @@ routed_chaos() {
   rm -rf "$dir"
 }
 
-# Serving-path parity: replay the identical request stream (same loadgen
-# seed) against a CH-backed daemon and a Dijkstra-only daemon (MTS_CH=0)
-# and require the per-request response dumps to be byte-identical.  This
-# is the end-to-end form of the CH==Dijkstra equivalence the unit tests
-# prove on fuzzed graphs: same hops, same byte-formatted lengths, over
-# the wire.  The table mix is deliberately excluded from the strict diff —
-# bucket-based many-to-many sums associate floating-point additions
-# differently from a sequential path walk, so table values agree only to
-# ~1 ulp, not byte for byte (DESIGN.md §14).
-routed_ch_parity() {
-  local preset="$1"
-  local mts="build-$preset/src/cli/mts"
-  local dir
-  dir="$(mktemp -d)"
-  "$mts" generate --city chicago --scale 0.15 --seed 5 --out "$dir/city.osm"
-
-  local mode daemon rc
-  for mode in ch nocg; do
-    local env_args=()
-    [ "$mode" = nocg ] && env_args=(MTS_CH=0)
-    env "${env_args[@]}" "$mts" routed --osm "$dir/city.osm" --port 0 \
-      --port-file "$dir/port.$mode" --threads 4 2> "$dir/routed.$mode.err" &
-    daemon=$!
-    wait_port_file "$daemon" "$dir/port.$mode" "$dir/routed.$mode.err" || return 1
-    for mix in route kalt attack; do
-      "$mts" loadgen --port-file "$dir/port.$mode" --requests 300 \
-        --connections "$JOBS" --mix "$mix" --rank 2 --seed 7 \
-        --dump "$dir/$mix.$mode.dump" > /dev/null ||
-        { echo "ci: parity loadgen mix=$mix mode=$mode failed" >&2
-          kill "$daemon" 2>/dev/null; return 1; }
-    done
-    kill -TERM "$daemon"
-    rc=0
-    wait "$daemon" || rc=$?
-    if [ "$rc" != 0 ]; then
-      echo "ci: parity daemon (mode=$mode) did not drain cleanly (exit $rc)" >&2
-      return 1
-    fi
-  done
-
-  for mix in route kalt attack; do
-    if ! diff -u "$dir/$mix.nocg.dump" "$dir/$mix.ch.dump" > "$dir/$mix.diff"; then
-      echo "ci: CH vs Dijkstra serving parity broken for mix=$mix:" >&2
-      head -20 "$dir/$mix.diff" >&2
-      return 1
-    fi
-  done
-  echo "ci: CH/Dijkstra serving parity holds (route kalt attack)"
-  rm -rf "$dir"
-}
-
 for preset in "${PRESETS[@]}"; do
   if [ "$preset" = bench ]; then
     # Standalone counter-regression leg (hosted CI runs it as its own
     # matrix job): dev-preset build of the table02 bench, then the
     # bench_gate ctest entry, which replays the seed-pinned workload and
-    # compares every gated work counter against BENCH_PR9.json.  The
+    # compares every gated work counter against BENCH_PR15.json.  The
     # comparison report + raw metrics land in build-dev/bench_report* for
     # artifact upload on failure.
     echo "==== [bench] configure (dev preset) ===="
@@ -242,7 +192,7 @@ for preset in "${PRESETS[@]}"; do
     echo "==== [bench] build ===="
     cmake --build --preset dev -j "$JOBS" --target table02_boston_length
 
-    echo "==== [bench] bench_gate (counters vs BENCH_PR9.json) ===="
+    echo "==== [bench] bench_gate (counters vs BENCH_PR15.json) ===="
     ctest --preset dev -R '^bench_gate$' --output-on-failure
     continue
   fi
@@ -343,7 +293,7 @@ for preset in "${PRESETS[@]}"; do
 
     # Deterministic work-counter regression gate: a small MTS_METRICS=1
     # bench run whose dijkstra/ch/lp/yen counters must match
-    # BENCH_PR9.json exactly (tools/bench_compare.py; wall-clock is
+    # BENCH_PR15.json exactly (tools/bench_compare.py; wall-clock is
     # reported, never gated).
     echo "==== [$preset] bench_gate (counter regression) ===="
     ctest --preset "$preset" -R '^bench_gate$' --output-on-failure
@@ -358,11 +308,6 @@ for preset in "${PRESETS[@]}"; do
     # shed observably and drain cleanly (see routed_chaos above).
     echo "==== [$preset] routed overload chaos ===="
     routed_chaos "$preset"
-
-    # CH on/off A-B replay: identical request streams against both
-    # serving substrates must produce byte-identical answers.
-    echo "==== [$preset] CH/Dijkstra serving parity ===="
-    routed_ch_parity "$preset"
 
     # Brief protocol fuzz callout: byte-mutation fuzz of the wire parser
     # (also part of the full sweep; isolated here so a framing regression

@@ -43,23 +43,19 @@ ExclusivityOracle::ExclusivityOracle(const ForcePathCutProblem& problem, WorkBud
   p_star_length_ = path_length(problem_.p_star.edges, problem_.weights);
   validate_weights(*problem.graph, problem_.weights, "oracle");
   if (problem.ch != nullptr) {
-    // PHAST over the problem's CH: the same exact distances as the reverse
-    // Dijkstra below, at two orders of magnitude fewer settles.  The
-    // assets must belong to this problem's graph+weights (build contract,
-    // graph/ch_assets.hpp); size mismatches are the detectable violations.
-    require(problem.ch->ch.num_nodes() == problem.graph->num_nodes() &&
+    // The CCH serves tie certifications only.  The assets must belong to
+    // this problem's graph+weights (build contract, graph/ch_assets.hpp);
+    // size mismatches are the detectable violations.
+    require(problem.ch->cch.num_nodes() == problem.graph->num_nodes() &&
                 problem.ch->cch.num_edges() == problem.graph->num_edges(),
             "oracle: ChAssets do not match the problem graph");
-    problem.ch->ch.bounds_to_target(problem_.target, thread_ch_search_space(), reverse_tree_,
-                                    trace_);
-  } else {
-    DijkstraOptions reverse_options;
-    reverse_options.assume_valid_weights = true;
-    reverse_options.budget = budget_;
-    reverse_options.trace = trace_;
-    reverse_dijkstra(reverse_tree_, *problem.graph, problem_.weights, problem_.target,
-                     reverse_options);
   }
+  DijkstraOptions reverse_options;
+  reverse_options.assume_valid_weights = true;
+  reverse_options.budget = budget_;
+  reverse_options.trace = trace_;
+  reverse_dijkstra(reverse_tree_, *problem.graph, problem_.weights, problem_.target,
+                   reverse_options);
 }
 
 double ExclusivityOracle::tie_epsilon() const {
@@ -119,9 +115,9 @@ std::optional<Path> ExclusivityOracle::find_violating_path(const EdgeFilter& fil
   }
 
   // Dijkstra returned p* itself; certify no *other* path ties it.  The
-  // certification's reverse bounds must hold under THIS filter, so the
-  // base CH cannot serve them; the CCH re-customizes to the mask in
-  // O(shortcuts) and its masked PHAST replaces the full reverse Dijkstra
+  // certification's reverse bounds must hold under THIS filter, so
+  // reverse_tree_ cannot serve them.  With ChAssets the CCH re-customizes
+  // to the mask and its masked PHAST replaces the full reverse Dijkstra
   // the plain call would run.  The certified path is identical either way
   // (YenOptions::reverse_bounds).
   obs::add(OracleCounters::get().ties);

@@ -49,13 +49,13 @@ class ExclusivityOracle {
   /// *unfiltered* weights, built once per problem.  Removing edges only
   /// lengthens paths, so these distances lower-bound the remaining
   /// distance under every filter the oracle will ever see — an admissible
-  /// goal-direction heuristic for all queries (DESIGN.md §9).  Filled by a
-  /// CH PHAST pass when the problem carries ChAssets, by a full reverse
-  /// Dijkstra otherwise — same exact distances either way.
+  /// goal-direction heuristic for all queries (DESIGN.md §9).  Filled by
+  /// one full reverse Dijkstra.
   SearchSpace reverse_tree_;
-  /// Masked-metric machinery for tie certifications, lazily created on the
-  /// first tie (most problems never hit one).  Mutable like calls_: the
-  /// oracle is logically const but single-threaded by contract.
+  /// Masked-metric machinery for tie certifications when the problem
+  /// carries ChAssets, lazily created on the first tie (most problems
+  /// never hit one).  Mutable like calls_: the oracle is logically const
+  /// but single-threaded by contract.
   mutable std::unique_ptr<CchMetric> cch_;
   mutable SearchSpace cch_bounds_;
   WorkBudget* budget_ = nullptr;

@@ -46,12 +46,13 @@ struct ForcePathCutProblem {
   /// (see attack/defense.hpp).  If every cut must include a protected
   /// edge, the attack reports Infeasible.
   std::vector<std::uint8_t> protected_edges;
-  /// Optional CH/CCH speedup bundle (nullptr = serve everything with
-  /// Dijkstra/Yen).  MUST have been built from this problem's graph and
-  /// weights — the oracle and verifier trust it for exact distances.
-  /// Shared read-only like the graph (per-worker mutable state lives in
-  /// the oracle/verifier), so the same pointer is safe across the parallel
-  /// harness's workers.
+  /// Optional CH/CCH bundle for the oracle's tie certifications (nullptr =
+  /// certify each tie with a full reverse Dijkstra; same verdicts either
+  /// way).  Nothing else reads it: the verifier always runs plain
+  /// Dijkstra.  MUST have been built from this problem's graph and
+  /// weights — the oracle trusts it for exact masked distances.  Shared
+  /// read-only like the graph (the oracle keeps its own CchMetric), so the
+  /// same pointer is safe across the parallel harness's workers.
   const ChAssets* ch = nullptr;
 };
 

@@ -1,8 +1,5 @@
 #include "attack/verify.hpp"
 
-#include <cmath>
-
-#include "graph/ch_assets.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/edge_filter.hpp"
 #include "graph/shortest_path_count.hpp"
@@ -41,30 +38,9 @@ VerifyReport verify_attack(const ForcePathCutProblem& problem,
     }
   }
 
-  const double len_star = path_length(problem.p_star.edges, problem.weights);
-  const double eps = 1e-9 * (1.0 + std::abs(len_star));
-
-  // Distance-under-mask check: with ChAssets present this runs off a CCH
-  // re-customized to the cut (O(shortcuts) + one upward query) instead of
-  // a full filtered Dijkstra.  Both compute the exact masked distance; the
-  // eps comparison absorbs their summation-order ulps, so the verdict is
-  // identical.  The exclusivity count and the final path identity check
-  // below deliberately stay on the Dijkstra machinery: an independent
-  // implementation should confirm what the CCH-accelerated attack claims.
-  double dist = 0.0;
-  if (problem.ch != nullptr && problem.ch->cch.num_edges() == g.num_edges() &&
-      problem.ch->cch.num_nodes() == g.num_nodes()) {
-    CchMetric metric(problem.ch->cch, problem.weights);
-    metric.recustomize(&filter);
-    dist = metric.distance(problem.source, problem.target);
-  } else {
-    dist = shortest_distance(g, problem.weights, problem.source, problem.target, &filter);
-  }
-  if (std::abs(dist - len_star) > eps) {
-    return finish({false, "shortest distance " + std::to_string(dist) + " != len(p*) " +
-                       std::to_string(len_star)});
-  }
-
+  // No separate distance check: p* survives the cut, so the masked
+  // distance is at most len(p*), and a strictly shorter path fails either
+  // the count or the path identity check below.
   const auto count = count_shortest_paths(g, problem.weights, problem.source, problem.target,
                                           &filter);
   if (count != 1) {

@@ -49,12 +49,12 @@
 //               routed.slow_client_disconnects.  Unset or 0 (default) =
 //               writes block (the per-connection write-queue byte cap still
 //               bounds memory).
-// MTS_CH        1 (default) = serve route/kalt distance work and the
-//               attack oracle/verifier distance checks through the
-//               Contraction Hierarchy built at snapshot/table load (see
-//               DESIGN.md §14); 0 = plain Dijkstra/Yen fallback paths.
-//               Answers are identical either way — the knob exists for
-//               A/B parity checks (ci.sh routed_smoke) and bisection.
+// MTS_CH        1 (default) = the table harness builds a CH + CCH bundle
+//               per table column, and the attack oracle certifies ties on
+//               the CCH; 0 = each tie costs a full reverse Dijkstra.
+//               Tables are identical either way.  Unset or empty means 1;
+//               any value other than 0 or 1 is an error.  The daemon and
+//               the verifier ignore it (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>

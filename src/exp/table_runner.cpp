@@ -79,11 +79,11 @@ CityTableResult run_city_table_on(const osm::RoadNetwork& network,
   }
 
   // CH/CCH bundle for this (graph, weights) pair, built once and shared
-  // read-only by every cell's oracle and verifier (MTS_CH=0 opts out; the
-  // answers are identical either way, see DESIGN.md §14).  Scenario
-  // sampling above deliberately does not use it: it ran before this point
-  // on resumable runs' first pass, and keeping it on the plain Yen path
-  // pins the scenario stream byte-for-byte.
+  // read-only by every cell's oracle for its tie certifications (MTS_CH=0
+  // opts out; the answers are identical either way, see DESIGN.md §14).
+  // Scenario sampling above deliberately does not use it: it ran before
+  // this point on resumable runs' first pass, and keeping it on the plain
+  // Yen path pins the scenario stream byte-for-byte.
   std::unique_ptr<ChAssets> ch_assets;
   if (ch_enabled()) {
     obs::ScopedPhase ch_phase("ch_build");

@@ -18,7 +18,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct CchCounters {
   obs::CounterId recustomizations;
   obs::CounterId arcs_recomputed;
-  obs::CounterId queries;
   obs::CounterId settled;  // shares ch.nodes_settled: one serving-cost total
   obs::CounterId phast_runs;
   obs::CounterId sweep_relaxations;
@@ -27,7 +26,6 @@ struct CchCounters {
     static const CchCounters counters{
         obs::MetricsRegistry::instance().counter("ch.recustomizations"),
         obs::MetricsRegistry::instance().counter("cch.arcs_recomputed"),
-        obs::MetricsRegistry::instance().counter("cch.queries"),
         obs::MetricsRegistry::instance().counter("ch.nodes_settled"),
         obs::MetricsRegistry::instance().counter("cch.phast_runs"),
         obs::MetricsRegistry::instance().counter("ch.sweep_relaxations"),
@@ -195,36 +193,25 @@ CchTopology CchTopology::build(const DiGraph& g, std::span<const std::uint32_t> 
     }
   }
 
-  // Query CSRs and the PHAST sweep order.
-  topo.up_out_offsets_.assign(n + 1, 0);
+  // Backward-search CSR and the PHAST sweep order.
   topo.up_in_offsets_.assign(n + 1, 0);
   for (std::uint32_t a = 0; a < num_arcs; ++a) {
     if (rank[topo.arc_from_[a]] < rank[topo.arc_to_[a]]) {
-      ++topo.up_out_offsets_[topo.arc_from_[a] + 1];
+      topo.sweep_arcs_.push_back(a);
     } else {
       ++topo.up_in_offsets_[topo.arc_to_[a] + 1];
     }
   }
-  for (std::size_t v = 0; v < n; ++v) {
-    topo.up_out_offsets_[v + 1] += topo.up_out_offsets_[v];
-    topo.up_in_offsets_[v + 1] += topo.up_in_offsets_[v];
-  }
-  topo.up_out_arcs_.assign(topo.up_out_offsets_[n], 0);
+  for (std::size_t v = 0; v < n; ++v) topo.up_in_offsets_[v + 1] += topo.up_in_offsets_[v];
   topo.up_in_arcs_.assign(topo.up_in_offsets_[n], 0);
   {
-    std::vector<std::uint32_t> out_cursor(topo.up_out_offsets_.begin(),
-                                          topo.up_out_offsets_.end() - 1);
-    std::vector<std::uint32_t> in_cursor(topo.up_in_offsets_.begin(),
-                                         topo.up_in_offsets_.end() - 1);
+    std::vector<std::uint32_t> cursor(topo.up_in_offsets_.begin(), topo.up_in_offsets_.end() - 1);
     for (std::uint32_t a = 0; a < num_arcs; ++a) {
-      if (rank[topo.arc_from_[a]] < rank[topo.arc_to_[a]]) {
-        topo.up_out_arcs_[out_cursor[topo.arc_from_[a]]++] = a;
-      } else {
-        topo.up_in_arcs_[in_cursor[topo.arc_to_[a]]++] = a;
+      if (rank[topo.arc_from_[a]] > rank[topo.arc_to_[a]]) {
+        topo.up_in_arcs_[cursor[topo.arc_to_[a]]++] = a;
       }
     }
   }
-  topo.sweep_arcs_.assign(topo.up_out_arcs_.begin(), topo.up_out_arcs_.end());
   std::stable_sort(topo.sweep_arcs_.begin(), topo.sweep_arcs_.end(),
                    [&topo](std::uint32_t a, std::uint32_t b) {
                      return topo.rank_[topo.arc_to_[a]] > topo.rank_[topo.arc_to_[b]];
@@ -294,48 +281,6 @@ void CchMetric::recustomize(const EdgeFilter* filter) {
   const CchCounters& counters = CchCounters::get();
   obs::add(counters.recustomizations);
   obs::add(counters.arcs_recomputed, recomputed);
-}
-
-double CchMetric::distance(NodeId source, NodeId target, RequestTrace* trace) {
-  const std::size_t n = topo_->num_nodes();
-  require(source.value() < n && target.value() < n, "CchMetric: endpoint out of range");
-  obs::ScopedPhase obs_phase("cch");
-  ws_.begin(n);
-  ws_.set(source.value(), true, 0.0, -1);
-  ws_.set(target.value(), false, 0.0, -1);
-  ws_.heap_push(0.0, source.value(), true);
-  ws_.heap_push(0.0, target.value(), false);
-
-  double best = kInf;
-  std::uint64_t settled = 0;
-  while (!ws_.heap_empty()) {
-    const ChSearchSpace::Entry top = ws_.heap_pop();
-    if (top.key > ws_.dist(top.node, top.forward)) continue;  // stale
-    if (top.key > best) continue;
-    ++settled;
-
-    const double theirs = ws_.dist(top.node, !top.forward);
-    if (theirs < kInf && top.key + theirs < best) best = top.key + theirs;
-
-    const auto& offsets = top.forward ? topo_->up_out_offsets_ : topo_->up_in_offsets_;
-    const auto& arc_list = top.forward ? topo_->up_out_arcs_ : topo_->up_in_arcs_;
-    for (std::uint32_t i = offsets[top.node]; i < offsets[top.node + 1]; ++i) {
-      const std::uint32_t a = arc_list[i];
-      const std::uint32_t other = top.forward ? topo_->arc_to_[a] : topo_->arc_from_[a];
-      // Masked-out arcs carry +inf and fail the improvement test.
-      const double candidate = top.key + arc_weight_[a];
-      if (candidate < ws_.dist(other, top.forward)) {
-        ws_.set(other, top.forward, candidate, -1);
-        ws_.heap_push(candidate, other, top.forward);
-      }
-    }
-  }
-
-  const CchCounters& counters = CchCounters::get();
-  obs::add(counters.queries);
-  obs::add(counters.settled, settled);
-  if (trace != nullptr) trace->ch_nodes_settled += settled;
-  return best;
 }
 
 void CchMetric::bounds_to_target(NodeId target, SearchSpace& out, RequestTrace* trace) {

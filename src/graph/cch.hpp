@@ -24,9 +24,9 @@
 //      full Dijkstra.  Removing every parallel edge of an arc drives it
 //      to +inf, which the searches skip naturally.
 //
-// Queries mirror the CH ones: bidirectional upward point-to-point, and
-// the PHAST-style one-to-all bounds_to_target used to goal-bound the
-// oracle's certification searches under the candidate mask.
+// The one query is the PHAST-style one-to-all bounds_to_target, the
+// masked twin of the CH's, used to goal-bound the oracle's tie
+// certification searches under the candidate mask.
 #pragma once
 
 #include <cstdint>
@@ -79,15 +79,12 @@ class CchTopology {
   std::vector<std::uint32_t> parent_arcs_;
   // Original edge -> covering arc (kInvalidArc for self loops).
   std::vector<std::uint32_t> edge_arc_;
-  // Query CSRs.  Upward-out: arcs tail->head with rank[head] > rank[tail],
-  // keyed by tail.  Upward-in: arcs tail->head with rank[tail] >
-  // rank[head], keyed by head.  Entries are arc ids.
-  std::vector<std::uint32_t> up_out_offsets_;
-  std::vector<std::uint32_t> up_out_arcs_;
+  // Backward-search CSR: arcs tail->head with rank[tail] > rank[head],
+  // keyed by head.  Entries are arc ids.
   std::vector<std::uint32_t> up_in_offsets_;
   std::vector<std::uint32_t> up_in_arcs_;
-  // PHAST sweep: the upward-out arc ids, globally sorted by descending
-  // head rank (see ContractionHierarchy::bounds_to_target).
+  // PHAST sweep: the arcs tail->head with rank[head] > rank[tail], sorted
+  // by descending head rank (see ContractionHierarchy::bounds_to_target).
   std::vector<std::uint32_t> sweep_arcs_;
 };
 
@@ -106,10 +103,6 @@ class CchMetric {
   /// the mask against the previous call and recomputes only affected
   /// arcs.  Counted as ch.recustomizations.
   void recustomize(const EdgeFilter* filter);
-
-  /// Exact shortest-path distance under the current mask
-  /// (kInfiniteDistance when disconnected).
-  [[nodiscard]] double distance(NodeId source, NodeId target, RequestTrace* trace = nullptr);
 
   /// Exact one-to-all distances to `target` under the current mask,
   /// published into `out` as a bounds-only SearchSpace (no parents) —

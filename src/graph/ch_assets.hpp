@@ -1,18 +1,18 @@
-// The per-(graph, weights) speedup bundle production consumers share.
+// The CH + CCH bundle the experiment harness builds per table column.
 //
-// A ContractionHierarchy answers unmodified-graph queries; the CchTopology
-// built over the same contraction order answers masked (candidate-cut)
-// queries via cheap re-customization.  They are built together because
-// every serving consumer (net::Snapshot, exp::table_runner) needs both:
-// the oracle's reverse bounds come off the CH, its certification and the
-// verifier's distance checks come off a CchMetric.
+// The CchTopology eliminates over the ContractionHierarchy's contraction
+// order, so the two are built together from one (graph, weights).  Its
+// one consumer is the attack oracle's tie certification: a CchMetric
+// re-customized to the candidate cut goal-bounds the second-shortest-path
+// search (attack/oracle.cpp).  Every other distance question has a single
+// engine that needs no bundle: the daemon owns bare CHs (net::Snapshot),
+// and the oracle's unmasked bounds and the verifier run plain Dijkstra.
 //
 // ChAssets is immutable after build and shared read-only across worker
-// threads; per-worker mutable state (ChSearchSpace, CchMetric) lives with
-// the worker.  The `ch` / `cch` members are built from the SAME graph and
-// weight vector — a ForcePathCutProblem carrying a ChAssets pointer must
-// point at assets built from its own graph+weights (checked by size,
-// enforced by contract).
+// threads; per-worker mutable state (CchMetric) lives with the oracle.  A
+// ForcePathCutProblem carrying a ChAssets pointer must point at assets
+// built from its own graph+weights (checked by size, enforced by
+// contract).
 #pragma once
 
 #include <span>
@@ -31,9 +31,11 @@ struct ChAssets {
                         const ChOptions& options = {});
 };
 
-/// The MTS_CH knob (default on): whether CH-backed serving paths are
-/// active.  Read once per call site decision point — cheap, not cached,
-/// so tests can flip it between snapshots.
+/// The MTS_CH knob: whether exp::run_city_table_on builds ChAssets, so
+/// that the oracle certifies ties on the CCH (1, the default) or with a
+/// full reverse Dijkstra per tie (0).  Unset or empty means 1; any value
+/// other than 0 or 1 throws InvalidInput naming it.  Read per call, not
+/// cached, so tests can flip it.
 [[nodiscard]] bool ch_enabled();
 
 }  // namespace mts

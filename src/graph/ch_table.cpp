@@ -31,8 +31,8 @@ ChTableQuery::ChTableQuery(const ContractionHierarchy& ch)
     : ch_(&ch), buckets_(ch.num_nodes()) {}
 
 std::vector<double> ChTableQuery::table(std::span<const NodeId> sources,
-                                        std::span<const NodeId> targets,
-                                        RequestTrace* trace) {
+                                        std::span<const NodeId> targets, RequestTrace* trace,
+                                        WorkBudget* budget) {
   obs::ScopedPhase obs_phase("ch");
   const std::size_t n = ch_->num_nodes();
   for (NodeId s : sources) require(s.value() < n, "ChTableQuery: source out of range");
@@ -42,19 +42,29 @@ std::vector<double> ChTableQuery::table(std::span<const NodeId> sources,
   for (std::uint32_t node : touched_) buckets_[node].clear();
   touched_.clear();
 
-  std::uint64_t settled_count = 0;
+  const TableCounters& counters = TableCounters::get();
+  // Ends one upward search.  Each search is a budget checkpoint charged
+  // with its settled nodes (the unit a CH route query charges); the
+  // registry and the trace see the work first, so a table its budget
+  // stops still reports what it did.
+  const auto finish_search = [&](std::uint64_t settled) {
+    obs::add(counters.settled, settled);
+    if (trace != nullptr) trace->ch_nodes_settled += settled;
+    if (budget != nullptr) budget->charge_edges_scanned(settled);
+  };
 
   // Backward upward search per target: deposit (target-index, distance)
   // at every settled node.  Full drain — upward searches are tiny and the
   // buckets must cover every potential meeting node.
   for (std::size_t j = 0; j < targets.size(); ++j) {
+    std::uint64_t settled = 0;
     ws_.begin(n);
     ws_.set(targets[j].value(), false, 0.0, -1);
     ws_.heap_push(0.0, targets[j].value(), false);
     while (!ws_.heap_empty()) {
       const ChSearchSpace::Entry top = ws_.heap_pop();
       if (top.key > ws_.dist(top.node, false)) continue;  // stale
-      ++settled_count;
+      ++settled;
       if (buckets_[top.node].empty()) touched_.push_back(top.node);
       buckets_[top.node].push_back({static_cast<std::uint32_t>(j), top.key});
       for (std::uint32_t i = ch_->down_offsets_[top.node];
@@ -67,19 +77,21 @@ std::vector<double> ChTableQuery::table(std::span<const NodeId> sources,
         }
       }
     }
+    finish_search(settled);
   }
 
   // Forward upward search per source: scan buckets at every settled node.
   std::vector<double> result(sources.size() * targets.size(), kInf);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     double* row = result.data() + i * targets.size();
+    std::uint64_t settled = 0;
     ws_.begin(n);
     ws_.set(sources[i].value(), true, 0.0, -1);
     ws_.heap_push(0.0, sources[i].value(), true);
     while (!ws_.heap_empty()) {
       const ChSearchSpace::Entry top = ws_.heap_pop();
       if (top.key > ws_.dist(top.node, true)) continue;  // stale
-      ++settled_count;
+      ++settled;
       for (const BucketEntry& entry : buckets_[top.node]) {
         const double through = top.key + entry.dist;
         if (through < row[entry.target_index]) row[entry.target_index] = through;
@@ -94,12 +106,10 @@ std::vector<double> ChTableQuery::table(std::span<const NodeId> sources,
         }
       }
     }
+    finish_search(settled);
   }
 
-  const TableCounters& counters = TableCounters::get();
   obs::add(counters.tables);
-  obs::add(counters.settled, settled_count);
-  if (trace != nullptr) trace->ch_nodes_settled += settled_count;
   return result;
 }
 

@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "core/budget.hpp"
 #include "core/request_trace.hpp"
 #include "graph/contraction_hierarchy.hpp"
 
@@ -31,9 +32,11 @@ class ChTableQuery {
   /// Exact shortest-path distances for every (source, target) pair,
   /// row-major: result[i * targets.size() + j] = dist(sources[i],
   /// targets[j]).  Unreachable pairs get kInfiniteDistance; a node paired
-  /// with itself gets 0.
+  /// with itself gets 0.  Each upward search charges its settled nodes to
+  /// `budget` (nullptr = unlimited) as edges_scanned, the unit a CH route
+  /// query charges, so caps and deadlines stop a table between searches.
   std::vector<double> table(std::span<const NodeId> sources, std::span<const NodeId> targets,
-                            RequestTrace* trace = nullptr);
+                            RequestTrace* trace = nullptr, WorkBudget* budget = nullptr);
 
  private:
   struct BucketEntry {

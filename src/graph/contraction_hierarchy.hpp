@@ -15,14 +15,12 @@
 // num_nodes-sized allocations.  bounds_to_target() is the PHAST-style
 // one-to-all pass (backward upward search + one linear downward sweep)
 // that replaces a full reverse Dijkstra when a caller only needs exact
-// distance bounds to a target — the attack oracle's constructor is the
-// main consumer.
+// distance bounds to a target — the daemon's kalt and attack rankings use
+// it to goal-bound Yen's spur searches.
 //
 // Weights are fixed at build time: CH answers the *victim's* routing
-// queries.  The attacker's inner loops (which mutate the graph) keep using
-// the filtered Dijkstra/Yen machinery; candidate-cut distance checks go
-// through the CCH re-customization path instead (graph/cch.hpp, DESIGN.md
-// §14).
+// queries.  The attacker's questions (which mutate the graph) run on the
+// filtered Dijkstra/Yen machinery (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>

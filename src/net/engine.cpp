@@ -12,9 +12,7 @@
 #include "attack/verify.hpp"
 #include "core/error.hpp"
 #include "core/fault.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/path.hpp"
-#include "graph/yen.hpp"
 #include "obs/metrics.hpp"
 
 namespace mts::net {
@@ -31,7 +29,7 @@ Response ok_response(std::uint64_t id, const char* verb) {
 
 bool stats_relevant(const std::string& name) {
   return name.rfind("routed.", 0) == 0 || name.rfind("dijkstra.", 0) == 0 ||
-         name.rfind("yen.", 0) == 0 || name.rfind("ch.", 0) == 0 || name.rfind("cch.", 0) == 0;
+         name.rfind("yen.", 0) == 0 || name.rfind("ch.", 0) == 0;
 }
 
 }  // namespace
@@ -114,15 +112,49 @@ Response QueryEngine::dispatch(const Request& request, WorkBudget& budget, Reque
   throw InvalidInput("unhandled request verb");
 }
 
-const ChAssets* QueryEngine::ch_for(const Request& request) const {
+const ContractionHierarchy& QueryEngine::ch_for(const Request& request) const {
   return snapshot_->ch(request.weight == WeightKind::Time);
 }
 
-ChTableQuery& QueryEngine::table_query_for(const Request& request, const ChAssets& assets) {
+ChTableQuery& QueryEngine::table_query_for(const Request& request) {
   std::unique_ptr<ChTableQuery>& slot =
       request.weight == WeightKind::Time ? time_table_ : length_table_;
-  if (slot == nullptr) slot = std::make_unique<ChTableQuery>(assets.ch);
+  if (slot == nullptr) slot = std::make_unique<ChTableQuery>(ch_for(request));
   return *slot;
+}
+
+std::optional<Path> QueryEngine::ch_path(const Request& request, WorkBudget& budget,
+                                         RequestTrace* trace) {
+  // The CH's work unit (settled nodes) charges the same budget counter a
+  // Dijkstra's settled nodes would.  Re-summing the unpacked path in
+  // forward edge order is the accumulation Dijkstra's extract_path does,
+  // so the wire distance matches a plain Dijkstra's byte for byte.
+  auto result = ch_for(request).query(NodeId(request.source), NodeId(request.target),
+                                      ch_workspace_, trace);
+  if (budget.limited()) budget.charge_edges_scanned(result.nodes_settled);
+  if (result.path) {
+    result.path->length =
+        path_length(result.path->edges, snapshot_->weights(request.weight == WeightKind::Time));
+  }
+  return std::move(result.path);
+}
+
+YenOptions QueryEngine::ranking_options(const Request& request, WorkBudget& budget,
+                                        RequestTrace* trace, const std::optional<Path>& first) {
+  // The CH path replaces Yen's opening rank-1 Dijkstra and one PHAST pass
+  // its reverse bound tree; the spur searches then run goal-bounded
+  // against the PHAST distances exactly as against the reverse tree
+  // (DESIGN.md §14).
+  YenOptions options;
+  if (budget.limited()) options.budget = &budget;
+  options.trace = trace;
+  if (first) {
+    ch_for(request).bounds_to_target(NodeId(request.target), ch_workspace_, reverse_bounds_,
+                                     trace);
+    options.reverse_bounds = &reverse_bounds_;
+    options.first_path = &*first;
+  }
+  return options;
 }
 
 void QueryEngine::check_endpoints(const Request& request) const {
@@ -139,39 +171,15 @@ void QueryEngine::check_endpoints(const Request& request) const {
 
 Response QueryEngine::route(const Request& request, WorkBudget& budget, RequestTrace* trace) {
   check_endpoints(request);
-  const NodeId source(request.source);
-  const NodeId target(request.target);
-  const auto& weights = snapshot_->weights(request.weight == WeightKind::Time);
-
   Response response = ok_response(request.id, "route");
-  if (source == target) {
+  if (request.source == request.target) {
     response.fields.emplace_back("found", "1");
     response.fields.emplace_back("dist", "0");
     response.fields.emplace_back("hops", "0");
     return response;
   }
 
-  std::optional<Path> path;
-  if (const ChAssets* assets = ch_for(request); assets != nullptr) {
-    // CH serves the query; the unpacked path's length is re-summed in
-    // forward edge order below so the wire distance is byte-identical to
-    // the Dijkstra fallback's (which accumulates along the same path).
-    // The CH's work unit (settled nodes) charges the same budget counter
-    // a Dijkstra's settled nodes would.
-    auto result = assets->ch.query(source, target, ch_workspace_, trace);
-    if (budget.limited()) budget.charge_edges_scanned(result.nodes_settled);
-    path = std::move(result.path);
-    if (path) path->length = path_length(path->edges, weights);
-  } else {
-    DijkstraOptions options;
-    options.target = target;
-    if (budget.limited()) options.budget = &budget;
-    options.trace = trace;
-    workspace_.begin(snapshot_->num_nodes());
-    dijkstra(workspace_, snapshot_->graph(), weights, source, options);
-    path = extract_path(snapshot_->graph(), workspace_, source, target);
-  }
-
+  const std::optional<Path> path = ch_path(request, budget, trace);
   response.fields.emplace_back("found", path ? "1" : "0");
   response.fields.emplace_back("dist", format_wire_double(path ? path->length : kInfiniteDistance));
   response.fields.emplace_back("hops", std::to_string(path ? path->edges.size() : 0));
@@ -185,39 +193,18 @@ Response QueryEngine::alternatives(const Request& request, WorkBudget& budget,
     throw InvalidInput("kalt requires distinct endpoints, got node " +
                        std::to_string(request.source) + " twice");
   }
-  const auto& weights = snapshot_->weights(request.weight == WeightKind::Time);
-
-  YenOptions options;
-  if (budget.limited()) options.budget = &budget;
-  options.trace = trace;
-
-  // With CH assets the two full Dijkstras Yen would open with (the reverse
-  // bound tree and the rank-1 path) collapse into one PHAST pass and one
-  // bidirectional CH query; the spur searches then run goal-bounded
-  // against the PHAST distances exactly as they would against the reverse
-  // tree (DESIGN.md §14).
-  Path first;
-  if (const ChAssets* assets = ch_for(request); assets != nullptr) {
-    auto result = assets->ch.query(NodeId(request.source), NodeId(request.target), ch_workspace_,
-                                   trace);
-    if (budget.limited()) budget.charge_edges_scanned(result.nodes_settled);
-    if (result.path) {
-      first = std::move(*result.path);
-      first.length = path_length(first.edges, weights);
-      assets->ch.bounds_to_target(NodeId(request.target), ch_workspace_, reverse_bounds_, trace);
-      options.reverse_bounds = &reverse_bounds_;
-      options.first_path = &first;
-    } else {
-      Response response = ok_response(request.id, "kalt");
-      response.fields.emplace_back("paths", "0");
-      response.fields.emplace_back("best", format_wire_double(0.0));
-      response.fields.emplace_back("worst", format_wire_double(0.0));
-      return response;
-    }
+  const std::optional<Path> first = ch_path(request, budget, trace);
+  if (!first) {
+    Response response = ok_response(request.id, "kalt");
+    response.fields.emplace_back("paths", "0");
+    response.fields.emplace_back("best", format_wire_double(0.0));
+    response.fields.emplace_back("worst", format_wire_double(0.0));
+    return response;
   }
+  const YenOptions options = ranking_options(request, budget, trace, first);
   const std::vector<Path> paths =
-      yen_ksp(snapshot_->graph(), weights, NodeId(request.source), NodeId(request.target),
-              request.k, options);
+      yen_ksp(snapshot_->graph(), snapshot_->weights(request.weight == WeightKind::Time),
+              NodeId(request.source), NodeId(request.target), request.k, options);
 
   Response response = ok_response(request.id, "kalt");
   response.fields.emplace_back("paths", std::to_string(paths.size()));
@@ -248,28 +235,8 @@ Response QueryEngine::table(const Request& request, WorkBudget& budget, RequestT
     }
     targets.emplace_back(t);
   }
-  const auto& weights = snapshot_->weights(request.weight == WeightKind::Time);
-
-  std::vector<double> values;
-  if (const ChAssets* assets = ch_for(request); assets != nullptr) {
-    values = table_query_for(request, *assets).table(sources, targets, trace);
-  } else {
-    // Fallback: one full Dijkstra per source row.  Same distances (both
-    // sides are exact); the bucket path just does orders of magnitude less
-    // work per row.
-    values.reserve(sources.size() * targets.size());
-    DijkstraOptions options;
-    if (budget.limited()) options.budget = &budget;
-    options.trace = trace;
-    for (NodeId source : sources) {
-      workspace_.begin(num_nodes);
-      dijkstra(workspace_, snapshot_->graph(), weights, source, options);
-      for (NodeId target : targets) {
-        values.push_back(workspace_.reached(target) ? workspace_.dist(target)
-                                                    : kInfiniteDistance);
-      }
-    }
-  }
+  const std::vector<double> values =
+      table_query_for(request).table(sources, targets, trace, budget.limited() ? &budget : nullptr);
 
   std::string joined;
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -291,24 +258,10 @@ Response QueryEngine::attack(const Request& request, WorkBudget& budget, Request
   }
   const auto& weights = snapshot_->weights(request.weight == WeightKind::Time);
 
-  YenOptions yen_options;
-  if (budget.limited()) yen_options.budget = &budget;
-  yen_options.trace = trace;
-  Path first;  // must outlive yen_ksp when CH provides the rank-1 path
-  if (const ChAssets* assets = ch_for(request); assets != nullptr) {
-    auto result = assets->ch.query(NodeId(request.source), NodeId(request.target), ch_workspace_,
-                                   trace);
-    if (budget.limited()) budget.charge_edges_scanned(result.nodes_settled);
-    if (result.path) {
-      first = std::move(*result.path);
-      first.length = path_length(first.edges, weights);
-      assets->ch.bounds_to_target(NodeId(request.target), ch_workspace_, reverse_bounds_, trace);
-      yen_options.reverse_bounds = &reverse_bounds_;
-      yen_options.first_path = &first;
-    }
-    // No path at all: plain yen_ksp below returns empty and the
-    // rank-unavailable branch answers, same as the Dijkstra mode.
-  }
+  // No path at all: yen_ksp returns empty and the rank-unavailable branch
+  // answers.
+  const std::optional<Path> first = ch_path(request, budget, trace);
+  const YenOptions yen_options = ranking_options(request, budget, trace, first);
   std::vector<Path> ranked = yen_ksp(snapshot_->graph(), weights, NodeId(request.source),
                                      NodeId(request.target), request.rank, yen_options);
 
@@ -325,7 +278,6 @@ Response QueryEngine::attack(const Request& request, WorkBudget& budget, Request
   problem.graph = &snapshot_->graph();
   problem.weights = weights;
   problem.costs = snapshot_->uniform_costs();
-  problem.ch = ch_for(request);  // oracle + verifier serve distances off it
   problem.source = NodeId(request.source);
   problem.target = NodeId(request.target);
   problem.p_star = std::move(ranked.back());

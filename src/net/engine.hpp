@@ -14,12 +14,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "core/budget.hpp"
 #include "core/request_trace.hpp"
 #include "graph/ch_table.hpp"
 #include "graph/contraction_hierarchy.hpp"
 #include "graph/search_space.hpp"
+#include "graph/yen.hpp"
 #include "net/protocol.hpp"
 #include "net/snapshot.hpp"
 
@@ -50,26 +52,31 @@ class QueryEngine {
   Response table(const Request& request, WorkBudget& budget, RequestTrace* trace);
   Response attack(const Request& request, WorkBudget& budget, RequestTrace* trace);
   void check_endpoints(const Request& request) const;
-  /// The snapshot's CH bundle for the request's weight kind (nullptr when
-  /// MTS_CH=0 — callers fall back to the Dijkstra/Yen paths).
-  [[nodiscard]] const ChAssets* ch_for(const Request& request) const;
+  /// The snapshot's CH for the request's weight kind.
+  [[nodiscard]] const ContractionHierarchy& ch_for(const Request& request) const;
+  /// The request's source->target shortest path off the CH, its length
+  /// re-summed in forward edge order (nullopt when unreachable).
+  std::optional<Path> ch_path(const Request& request, WorkBudget& budget, RequestTrace* trace);
+  /// Yen options for a kalt/attack ranking.  With a `first` path they
+  /// carry it plus PHAST distances-to-target as the spur searches' goal
+  /// bounds; `first` must outlive the yen_ksp call.
+  YenOptions ranking_options(const Request& request, WorkBudget& budget, RequestTrace* trace,
+                             const std::optional<Path>& first);
   /// Per-engine many-to-many machinery for a weight kind, created on the
   /// first table request (buckets are sized to the graph; most engines
   /// never see a table).
-  ChTableQuery& table_query_for(const Request& request, const ChAssets& assets);
+  ChTableQuery& table_query_for(const Request& request);
 
   const Snapshot* snapshot_;
   WorkBudget budget_template_;
-  SearchSpace workspace_;  // reused across route queries, one per engine
   ChSearchSpace ch_workspace_;     // CH query/PHAST scratch, one per engine
-  SearchSpace reverse_bounds_;     // kalt: PHAST distances-to-target
+  SearchSpace reverse_bounds_;     // kalt/attack: PHAST distances-to-target
   std::unique_ptr<ChTableQuery> time_table_;
   std::unique_ptr<ChTableQuery> length_table_;
 };
 
-/// Appends the registry's `routed.*` / `dijkstra.*` / `yen.*` / `ch.*` /
-/// `cch.*` slice to a
-/// stats response: every matching counter as `name=value` and every
+/// Appends the registry's `routed.*` / `dijkstra.*` / `yen.*` / `ch.*`
+/// slice to a stats response: every matching counter as `name=value` and every
 /// matching histogram as `name.count` / `name.p50` / `name.p99` (quantile
 /// estimates over the log buckets).  Key order follows the registry's
 /// name-sorted snapshot, so responses are deterministic; values are all

@@ -49,9 +49,9 @@ struct LoadgenOptions {
   /// When non-empty, every raw response line is written here sorted by
   /// request id, one per line — an A/B parity artifact: two runs against
   /// the same snapshot and stream (same seed/mix/requests) must produce
-  /// byte-identical dumps regardless of server config (ci.sh diffs
-  /// MTS_CH=1 vs MTS_CH=0 this way).  Retried requests record only their
-  /// terminal response.
+  /// byte-identical dumps regardless of server config (RoutedOverload
+  /// diffs generous overload knobs against none this way).  Retried
+  /// requests record only their terminal response.
   std::string dump_path;
 };
 

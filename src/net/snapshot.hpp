@@ -13,12 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "attack/models.hpp"
-#include "graph/ch_assets.hpp"
+#include "graph/contraction_hierarchy.hpp"
 #include "osm/road_network.hpp"
 
 namespace mts::net {
@@ -43,13 +42,11 @@ class Snapshot {
   /// Attack removal costs (uniform: 1 per directed segment).
   [[nodiscard]] const std::vector<double>& uniform_costs() const { return uniform_costs_; }
 
-  /// CH/CCH bundle for a weight kind, built once at load and shared
-  /// read-only by every worker's QueryEngine (per-request mutable state —
-  /// workspaces, CchMetric — lives engine-side).  nullptr when MTS_CH=0:
-  /// every consumer must keep a plain Dijkstra/Yen path that produces the
-  /// same answers (DESIGN.md §14).
-  [[nodiscard]] const ChAssets* ch(bool time) const {
-    return (time ? time_ch_ : length_ch_).get();
+  /// Contraction hierarchy for a weight kind, built once at load and
+  /// shared read-only by every worker's QueryEngine (per-request search
+  /// workspaces live engine-side; DESIGN.md §14).
+  [[nodiscard]] const ContractionHierarchy& ch(bool time) const {
+    return time ? time_ch_ : length_ch_;
   }
 
   [[nodiscard]] std::size_t num_nodes() const { return network_.graph().num_nodes(); }
@@ -61,8 +58,8 @@ class Snapshot {
   std::vector<double> time_weights_;
   std::vector<double> length_weights_;
   std::vector<double> uniform_costs_;
-  std::unique_ptr<ChAssets> time_ch_;
-  std::unique_ptr<ChAssets> length_ch_;
+  ContractionHierarchy time_ch_;
+  ContractionHierarchy length_ch_;
 };
 
 }  // namespace mts::net

@@ -2,23 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "attack/models.hpp"
 #include "citygen/generate.hpp"
+#include "core/error.hpp"
+#include "graph/ch_assets.hpp"
 #include "graph/dijkstra.hpp"
 #include "test_util.hpp"
 
 namespace mts {
 namespace {
 
+/// The s->t distance under the metric's current mask, read off a masked
+/// PHAST pass to t.
+double masked_distance(CchMetric& metric, NodeId s, NodeId t) {
+  SearchSpace bounds;
+  metric.bounds_to_target(t, bounds);
+  return bounds.reached(s) ? bounds.dist(s) : kInfiniteDistance;
+}
+
 TEST(Cch, UnmaskedDistancesMatchDijkstra) {
   test::Diamond d;
   const auto ch = ContractionHierarchy::build(d.wg.g, d.wg.weights);
   const auto topo = CchTopology::build(d.wg.g, ch.ranks());
   CchMetric metric(topo, d.wg.weights);
-  EXPECT_DOUBLE_EQ(metric.distance(d.s, d.t), 2.0);
-  EXPECT_DOUBLE_EQ(metric.distance(d.s, d.a), 1.0);
-  EXPECT_EQ(metric.distance(d.t, d.s), kInfiniteDistance);
-  EXPECT_DOUBLE_EQ(metric.distance(d.s, d.s), 0.0);
+  EXPECT_DOUBLE_EQ(masked_distance(metric, d.s, d.t), 2.0);
+  EXPECT_DOUBLE_EQ(masked_distance(metric, d.s, d.a), 1.0);
+  EXPECT_EQ(masked_distance(metric, d.t, d.s), kInfiniteDistance);
+  EXPECT_DOUBLE_EQ(masked_distance(metric, d.s, d.s), 0.0);
 }
 
 TEST(Cch, RecustomizeTracksMaskAndRestores) {
@@ -31,11 +44,11 @@ TEST(Cch, RecustomizeTracksMaskAndRestores) {
   filter.remove(d.sa);
   metric.recustomize(&filter);
   const double masked = shortest_distance(d.wg.g, d.wg.weights, d.s, d.t, &filter);
-  EXPECT_DOUBLE_EQ(metric.distance(d.s, d.t), masked);
+  EXPECT_DOUBLE_EQ(masked_distance(metric, d.s, d.t), masked);
 
   // Diffing back to the empty mask must restore the original distances.
   metric.recustomize(nullptr);
-  EXPECT_DOUBLE_EQ(metric.distance(d.s, d.t), 2.0);
+  EXPECT_DOUBLE_EQ(masked_distance(metric, d.s, d.t), 2.0);
 }
 
 TEST(Cch, ParallelEdgesSurviveSelectiveRemoval) {
@@ -51,18 +64,18 @@ TEST(Cch, ParallelEdgesSurviveSelectiveRemoval) {
   const auto ch = ContractionHierarchy::build(g, w);
   const auto topo = CchTopology::build(g, ch.ranks());
   CchMetric metric(topo, w);
-  EXPECT_DOUBLE_EQ(metric.distance(a, c), 3.0);
+  EXPECT_DOUBLE_EQ(masked_distance(metric, a, c), 3.0);
 
   // Removing the cheap copy falls back to the slow one...
   EdgeFilter filter(g.num_edges());
   filter.remove(cheap_ab);
   metric.recustomize(&filter);
-  EXPECT_DOUBLE_EQ(metric.distance(a, c), 5.0);
+  EXPECT_DOUBLE_EQ(masked_distance(metric, a, c), 5.0);
 
   // ...and removing both parallel edges disconnects the pair.
   filter.remove(slow_ab);
   metric.recustomize(&filter);
-  EXPECT_EQ(metric.distance(a, c), kInfiniteDistance);
+  EXPECT_EQ(masked_distance(metric, a, c), kInfiniteDistance);
 }
 
 TEST(Cch, BoundsToTargetMatchesMaskedReverseDistances) {
@@ -118,7 +131,7 @@ TEST(Cch, RepeatedRecustomizationsOnCityNetwork) {
       const NodeId s(static_cast<std::uint32_t>(rng.uniform_index(g.num_nodes())));
       const NodeId t(static_cast<std::uint32_t>(rng.uniform_index(g.num_nodes())));
       const double expected = shortest_distance(g, weights, s, t, &filter);
-      const double got = metric.distance(s, t);
+      const double got = masked_distance(metric, s, t);
       if (expected == kInfiniteDistance) {
         EXPECT_EQ(got, kInfiniteDistance) << "round " << round;
       } else {
@@ -126,6 +139,27 @@ TEST(Cch, RepeatedRecustomizationsOnCityNetwork) {
       }
     }
   }
+}
+
+TEST(ChAssets, ChKnobAcceptsOnlyUnsetZeroOrOne) {
+  unsetenv("MTS_CH");
+  EXPECT_TRUE(ch_enabled());
+  setenv("MTS_CH", "1", 1);
+  EXPECT_TRUE(ch_enabled());
+  setenv("MTS_CH", "0", 1);
+  EXPECT_FALSE(ch_enabled());
+  // A typo must not silently keep the CCH on (or turn it off).
+  for (const char* bad : {"off", "on", "true", "2", "-1", "01", "1x", " 1"}) {
+    setenv("MTS_CH", bad, 1);
+    try {
+      (void)ch_enabled();
+      ADD_FAILURE() << "accepted MTS_CH=" << bad;
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  unsetenv("MTS_CH");
 }
 
 }  // namespace

@@ -109,14 +109,17 @@ TEST(ChEquivalence, RecustomizedCchMatchesFilteredDijkstraOnFuzzedGraphs) {
             EdgeId(static_cast<std::uint32_t>(rng.uniform_index(wg.g.num_edges()))));
       }
       metric.recustomize(&filter);
-      for (int trial = 0; trial < 8; ++trial) {
-        const NodeId s(static_cast<std::uint32_t>(rng.uniform_index(25)));
+      for (int trial = 0; trial < 3; ++trial) {
         const NodeId t(static_cast<std::uint32_t>(rng.uniform_index(25)));
-        const double expected = shortest_distance(wg.g, wg.weights, s, t, &filter);
-        expect_distance_eq(metric.distance(s, t), expected,
-                           "seed " + std::to_string(seed) + " round " +
-                               std::to_string(round) + " " + std::to_string(s.value()) +
-                               "->" + std::to_string(t.value()));
+        SearchSpace bounds;
+        metric.bounds_to_target(t, bounds);
+        for (NodeId s : wg.g.nodes()) {
+          const double expected = shortest_distance(wg.g, wg.weights, s, t, &filter);
+          expect_distance_eq(bounds.reached(s) ? bounds.dist(s) : kInfiniteDistance, expected,
+                             "seed " + std::to_string(seed) + " round " +
+                                 std::to_string(round) + " " + std::to_string(s.value()) +
+                                 "->" + std::to_string(t.value()));
+        }
       }
     }
   }

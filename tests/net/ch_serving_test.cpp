@@ -1,21 +1,26 @@
-// CH serving parity and shared-snapshot concurrency.
+// CH serving against the reference engines, and shared-snapshot
+// concurrency.
 //
-// ChServing: a QueryEngine over a CH-backed snapshot must produce
-// byte-identical wire responses to one over a Dijkstra-only snapshot
-// (MTS_CH=0) — the in-process twin of ci.sh's routed_ch_parity A/B
-// replay.  ChSharedSnapshot: many engines on many threads share one
-// const Snapshot (and therefore one ContractionHierarchy); under TSan
-// this is the data-race gate for the read-only sharing contract
-// (ci.sh tsan leg).
+// ChServing: every wire answer of the CH-backed QueryEngine must equal the
+// answer this test computes with the reference engines a plain daemon
+// would use: shortest_path for route, plain yen_ksp for kalt, and plain
+// yen_ksp plus run_attack without ChAssets for attack (byte for byte), and
+// per-pair Dijkstra for table (at wire precision).  ChSharedSnapshot: many
+// engines on many threads share one const Snapshot (and therefore its
+// ContractionHierarchies); under TSan this is the data-race gate for the
+// read-only sharing contract (ci.sh tsan leg).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "attack/algorithms.hpp"
 #include "citygen/generate.hpp"
+#include "core/timer.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/yen.hpp"
 #include "net/engine.hpp"
 #include "net/protocol.hpp"
 #include "net/snapshot.hpp"
@@ -23,23 +28,8 @@
 namespace mts::net {
 namespace {
 
-/// Builds a snapshot of the same small city with MTS_CH forced on or off
-/// for the duration of the build (ch_enabled() is read at Snapshot
-/// construction, not per query).
-Snapshot build_snapshot(bool with_ch) {
-  ::setenv("MTS_CH", with_ch ? "1" : "0", 1);
-  Snapshot snapshot(citygen::generate_city(citygen::City::Chicago, 0.15, 5));
-  ::unsetenv("MTS_CH");
-  return snapshot;
-}
-
 const Snapshot& ch_snapshot() {
-  static const Snapshot snapshot = build_snapshot(true);
-  return snapshot;
-}
-
-const Snapshot& dijkstra_snapshot() {
-  static const Snapshot snapshot = build_snapshot(false);
+  static const Snapshot snapshot(citygen::generate_city(citygen::City::Chicago, 0.15, 5));
   return snapshot;
 }
 
@@ -95,20 +85,88 @@ std::vector<std::string> answer_all(const Snapshot& snapshot,
   return lines;
 }
 
-TEST(ChServing, SnapshotBuildsChBundlesOnlyWhenEnabled) {
-  EXPECT_NE(ch_snapshot().ch(true), nullptr);
-  EXPECT_NE(ch_snapshot().ch(false), nullptr);
-  EXPECT_EQ(dijkstra_snapshot().ch(true), nullptr);
-  EXPECT_EQ(dijkstra_snapshot().ch(false), nullptr);
+/// The wire answer the reference engines give for `request` (distinct
+/// endpoints, every verb parity_requests emits).
+std::string reference_answer(const Snapshot& snapshot, const Request& request) {
+  const DiGraph& g = snapshot.graph();
+  const auto& weights = snapshot.weights(request.weight == WeightKind::Time);
+  const NodeId source(request.source);
+  const NodeId target(request.target);
+  Response response;
+  response.id = request.id;
+  response.ok = true;
+  const auto add = [&response](const char* key, std::string value) {
+    response.fields.emplace_back(key, std::move(value));
+  };
+  switch (request.verb) {
+    case Verb::Route: {
+      response.verb = "route";
+      const auto path = shortest_path(g, weights, source, target);
+      add("found", path ? "1" : "0");
+      add("dist", format_wire_double(path ? path->length : kInfiniteDistance));
+      add("hops", std::to_string(path ? path->edges.size() : 0));
+      break;
+    }
+    case Verb::Kalt: {
+      response.verb = "kalt";
+      const auto paths = yen_ksp(g, weights, source, target, request.k);
+      add("paths", std::to_string(paths.size()));
+      add("best", format_wire_double(paths.empty() ? 0.0 : paths.front().length));
+      add("worst", format_wire_double(paths.empty() ? 0.0 : paths.back().length));
+      break;
+    }
+    case Verb::Table: {
+      response.verb = "table";
+      std::string vals;
+      for (const std::uint32_t s : request.sources) {
+        for (const std::uint32_t t : request.targets) {
+          if (!vals.empty()) vals += ',';
+          vals += format_wire_double(shortest_distance(g, weights, NodeId(s), NodeId(t)));
+        }
+      }
+      add("rows", std::to_string(request.sources.size()));
+      add("cols", std::to_string(request.targets.size()));
+      add("vals", vals);
+      break;
+    }
+    case Verb::Attack: {
+      response.verb = "attack";
+      std::vector<Path> ranked = yen_ksp(g, weights, source, target, request.rank);
+      if (ranked.size() < request.rank) {
+        add("status", "rank-unavailable");
+        add("removed", "0");
+        add("cost", "0");
+        break;
+      }
+      attack::ForcePathCutProblem problem;
+      problem.graph = &g;
+      problem.weights = weights;
+      problem.costs = snapshot.uniform_costs();
+      problem.source = source;
+      problem.target = target;
+      problem.p_star = std::move(ranked.back());
+      ranked.pop_back();
+      problem.seed_paths = std::move(ranked);
+      attack::AttackOptions options;
+      options.rng_seed = request.id;
+      const attack::AttackResult result = run_attack(request.algorithm, problem, options);
+      add("status", attack::to_string(result.status));
+      add("removed", std::to_string(result.num_removed()));
+      add("cost", format_wire_double(result.total_cost));
+      break;
+    }
+    default:
+      ADD_FAILURE() << "no reference for " << serialize_request(request);
+  }
+  return serialize_response(response);
 }
 
 TEST(ChServing, ResponsesByteIdenticalToDijkstraServing) {
   const auto requests = parity_requests(ch_snapshot().num_nodes());
   const auto ch_lines = answer_all(ch_snapshot(), requests);
-  const auto dijkstra_lines = answer_all(dijkstra_snapshot(), requests);
-  ASSERT_EQ(ch_lines.size(), dijkstra_lines.size());
-  for (std::size_t i = 0; i < ch_lines.size(); ++i) {
-    EXPECT_EQ(ch_lines[i], dijkstra_lines[i])
+  ASSERT_EQ(ch_lines.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(ch_lines[i], reference_answer(ch_snapshot(), requests[i]))
         << "request " << serialize_request(requests[i]);
   }
 }
@@ -161,6 +219,22 @@ TEST(ChServing, TableRejectsOutOfRangeNodes) {
   const Response response = engine.handle(request);
   EXPECT_FALSE(response.ok);
   EXPECT_NE(response.error.find("invalid-input"), std::string::npos) << response.error;
+}
+
+TEST(ChServing, TableStopsAtExpiredDeadline) {
+  // Budget caps are covered end to end (RoutedE2e); a deadline that has
+  // already passed must stop the table at its first search, as it stops
+  // a route.
+  Request request;
+  request.verb = Verb::Table;
+  request.id = 9;
+  request.sources = {1, 9};
+  request.targets = {70, 4};
+  const Stopwatch clock;
+  const Response late =
+      QueryEngine(ch_snapshot(), WorkBudget{}).handle(request, nullptr, &clock, 0.0);
+  EXPECT_FALSE(late.ok);
+  EXPECT_NE(late.error.find("deadline-exceeded"), std::string::npos) << late.error;
 }
 
 TEST(ChSharedSnapshot, ConcurrentEnginesProduceIdenticalAnswers) {

@@ -178,6 +178,18 @@ TEST(RoutedE2e, ExhaustedBudgetSurfacesAsStructuredError) {
   EXPECT_TRUE(client.read_response().ok);
 }
 
+TEST(RoutedE2e, ExhaustedBudgetStopsTableRequests) {
+  RoutedOptions options;
+  options.request_budget.max_edges_scanned = 1;  // the bucket searches settle far more
+  ServerHarness harness(options);
+  TestClient client(harness.port());
+  client.send_line("table 7 0,1 2,3");
+  Response err = client.read_response();
+  EXPECT_FALSE(err.ok);
+  EXPECT_EQ(err.id, 7u);
+  EXPECT_NE(err.error.find("budget-exhausted"), std::string::npos) << err.error;
+}
+
 TEST(RoutedE2e, ArmedFaultPointProducesFaultInjectedError) {
   ServerHarness harness;
   TestClient client(harness.port());
