@@ -37,7 +37,6 @@ int main() {
       config.trials = trials;
       config.path_rank = std::min(env.path_rank, 100);
       config.seed = seed;
-      config.deterministic_timing = !env.timing;
       const auto result = exp::run_city_table(config);
       const auto& cell = result.cell(Algorithm::GreedyPathCover, CostType::Uniform);
       if (cell.n == 0) continue;

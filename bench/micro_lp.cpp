@@ -10,25 +10,17 @@ namespace {
 
 using namespace mts;
 
-LpProblem random_covering_lp(std::size_t vars, std::size_t rows, std::uint64_t seed) {
+CoveringProblem random_covering_lp(std::size_t vars, std::size_t rows, std::uint64_t seed) {
   Rng rng(seed);
-  LpProblem lp;
-  lp.num_vars = vars;
-  for (std::size_t j = 0; j < vars; ++j) lp.objective.push_back(rng.uniform(0.5, 4.0));
+  CoveringProblem lp;
+  for (std::size_t j = 0; j < vars; ++j) lp.costs.push_back(rng.uniform(0.5, 4.0));
   for (std::size_t i = 0; i < rows; ++i) {
-    std::vector<std::size_t> indices;
-    std::vector<double> values;
+    std::vector<std::size_t> set;
     for (std::size_t j = 0; j < vars; ++j) {
-      if (rng.chance(0.08)) {
-        indices.push_back(j);
-        values.push_back(1.0);
-      }
+      if (rng.chance(0.08)) set.push_back(j);
     }
-    if (indices.empty()) {
-      indices.push_back(rng.uniform_index(vars));
-      values.push_back(1.0);
-    }
-    lp.add_constraint(std::move(indices), std::move(values), Relation::GreaterEqual, 1.0);
+    if (set.empty()) set.push_back(rng.uniform_index(vars));
+    lp.sets.push_back(std::move(set));
   }
   return lp;
 }

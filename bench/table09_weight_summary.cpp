@@ -37,7 +37,6 @@ int main() {
       config.trials = env.trials;
       config.path_rank = env.path_rank;
       config.seed = env.seed;
-      config.deterministic_timing = !env.timing;
       const auto result = exp::run_city_table(config);
       const auto summary = exp::summarize(result);
       const auto paper = exp::paper_table9(city, weight);

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   config.trials = env.trials;
   config.path_rank = env.path_rank;
   config.seed = env.seed;
-  config.deterministic_timing = !env.timing;
   config.work_budget = WorkBudget::from_environment();
   config.checkpoint_path = env.checkpoint;
   config.resume = resume;

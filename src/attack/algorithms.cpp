@@ -10,6 +10,7 @@
 #include "core/rng.hpp"
 #include "core/timer.hpp"
 #include "graph/eigen.hpp"
+#include "lp/covering.hpp"
 #include "obs/phase.hpp"
 
 namespace mts::attack {
@@ -93,11 +94,11 @@ AttackResult finish(Context& ctx, AttackStatus status, std::vector<EdgeId> remov
 /// Iteratively removes one scored edge from each violating path.
 /// `better(a, b)` returns true when edge a is preferable to edge b.
 template <typename Better>
-AttackResult run_iterative(Context& ctx, const AttackOptions& options, Better better) {
+AttackResult run_iterative(Context& ctx, Better better) {
   EdgeFilter filter(ctx.problem.graph->num_edges());
   std::vector<EdgeId> removed;
 
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxAttackIterations; ++iter) {
     const auto violating = ctx.oracle.find_violating_path(filter);
     if (!violating) return finish(ctx, AttackStatus::Success, std::move(removed), iter);
 
@@ -118,24 +119,24 @@ AttackResult run_iterative(Context& ctx, const AttackOptions& options, Better be
       return finish(ctx, AttackStatus::BudgetExceeded, std::move(removed), iter + 1);
     }
   }
-  return finish(ctx, AttackStatus::IterationLimit, std::move(removed), options.max_iterations);
+  return finish(ctx, AttackStatus::IterationLimit, std::move(removed), kMaxAttackIterations);
 }
 
-AttackResult run_greedy_edge(Context& ctx, const AttackOptions& options) {
+AttackResult run_greedy_edge(Context& ctx) {
   // Paper: "cuts the shortest road segment, not in p*, on the current
   // shortest route".
-  return run_iterative(ctx, options, [&](EdgeId a, EdgeId b) {
+  return run_iterative(ctx, [&](EdgeId a, EdgeId b) {
     return ctx.problem.weights[a.value()] < ctx.problem.weights[b.value()];
   });
 }
 
-AttackResult run_greedy_eig(Context& ctx, const AttackOptions& options) {
+AttackResult run_greedy_eig(Context& ctx) {
   // Eigen-scores come from the pristine graph: the attacker's topological
   // pre-analysis (recomputing per removal would change no ranking in
   // practice but cost a power iteration per cut).
   const auto eig = eigenvector_centrality(*ctx.problem.graph);
   const auto scores = edge_eigen_scores(*ctx.problem.graph, eig);
-  return run_iterative(ctx, options, [&, scores](EdgeId a, EdgeId b) {
+  return run_iterative(ctx, [&, scores](EdgeId a, EdgeId b) {
     const double ra = scores[a.value()] / ctx.problem.costs[a.value()];
     const double rb = scores[b.value()] / ctx.problem.costs[b.value()];
     return ra > rb;
@@ -144,12 +145,13 @@ AttackResult run_greedy_eig(Context& ctx, const AttackOptions& options) {
 
 // ---- PathCover (greedy set cover and LP relaxation) -------------------------
 
-AttackResult run_path_cover(Context& ctx, const AttackOptions& options, bool use_lp) {
+AttackResult run_path_cover(Context& ctx, std::uint64_t rng_seed, WorkBudget* budget,
+                            bool use_lp) {
   static const obs::CounterId kConstraints =
       obs::MetricsRegistry::instance().counter("attack.constraints_generated");
   static const obs::CounterId kForced =
       obs::MetricsRegistry::instance().counter("attack.forced_edges");
-  Rng rng(options.rng_seed);
+  Rng rng(rng_seed);
   const double eps = ctx.oracle.tie_epsilon();
   const double len_star = ctx.oracle.p_star_length();
 
@@ -181,7 +183,7 @@ AttackResult run_path_cover(Context& ctx, const AttackOptions& options, bool use
     return result;
   };
 
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxAttackIterations; ++iter) {
     // ---- Build the covering instance over removable edges.
     std::unordered_map<std::uint32_t, std::size_t> var_of;
     std::vector<EdgeId> vars;
@@ -216,8 +218,8 @@ AttackResult run_path_cover(Context& ctx, const AttackOptions& options, bool use
     // re-solve) and apply it together with the forced edges.
     std::vector<EdgeId> cut = forced;
     if (!covering.sets.empty()) {
-      const CoveringSolution solution = use_lp ? solve_covering_lp(covering, rng, options.covering)
-                                               : solve_covering_greedy(covering);
+      const CoveringSolution solution =
+          use_lp ? solve_covering_lp(covering, rng, budget) : solve_covering_greedy(covering);
       require(solution.feasible, "path cover: covering unexpectedly infeasible");
       if (solution.fallback_used && !fallback_used) {
         fallback_used = true;
@@ -266,7 +268,7 @@ AttackResult run_path_cover(Context& ctx, const AttackOptions& options, bool use
     }
   }
   return finalize(
-      finish(ctx, AttackStatus::IterationLimit, filter.removed_edges(), options.max_iterations));
+      finish(ctx, AttackStatus::IterationLimit, filter.removed_edges(), kMaxAttackIterations));
 }
 
 }  // namespace
@@ -280,9 +282,7 @@ AttackResult run_attack(Algorithm algorithm, const ForcePathCutProblem& problem,
   require(problem.protected_edges.empty() ||
               problem.protected_edges.size() == problem.graph->num_edges(),
           "run_attack: protected_edges size mismatch");
-  for (EdgeId e : problem.p_star.edges) {
-    require(problem.costs[e.value()] >= 0.0, "run_attack: negative cost");
-  }
+  require_valid_costs(problem, "run_attack");
 
   obs::ScopedPhase phase("attack");
   Stopwatch stopwatch;
@@ -290,16 +290,18 @@ AttackResult run_attack(Algorithm algorithm, const ForcePathCutProblem& problem,
   // (unlimited) budget stays off the hot path as a null pointer.
   WorkBudget budget = options.work_budget;
   WorkBudget* budget_ptr = budget.limited() ? &budget : nullptr;
-  AttackOptions effective = options;
-  effective.covering.lp.budget = budget_ptr;
   AttackResult result;
   try {
     Context ctx(problem, budget_ptr, options.trace);
     switch (algorithm) {
-      case Algorithm::GreedyEdge: result = run_greedy_edge(ctx, effective); break;
-      case Algorithm::GreedyEig: result = run_greedy_eig(ctx, effective); break;
-      case Algorithm::GreedyPathCover: result = run_path_cover(ctx, effective, false); break;
-      case Algorithm::LpPathCover: result = run_path_cover(ctx, effective, true); break;
+      case Algorithm::GreedyEdge: result = run_greedy_edge(ctx); break;
+      case Algorithm::GreedyEig: result = run_greedy_eig(ctx); break;
+      case Algorithm::GreedyPathCover:
+        result = run_path_cover(ctx, options.rng_seed, budget_ptr, false);
+        break;
+      case Algorithm::LpPathCover:
+        result = run_path_cover(ctx, options.rng_seed, budget_ptr, true);
+        break;
     }
   } catch (const BudgetExhausted&) {
     // Structured outcome, not an error: the deterministic caps ran out.

@@ -17,7 +17,6 @@
 #include "attack/problem.hpp"
 #include "core/budget.hpp"
 #include "core/request_trace.hpp"
-#include "lp/covering.hpp"
 
 namespace mts::attack {
 
@@ -30,12 +29,8 @@ inline constexpr Algorithm kAllAlgorithms[] = {Algorithm::LpPathCover,
                                                Algorithm::GreedyEig};
 
 struct AttackOptions {
-  /// Cap on oracle-driven iterations (each discovers one new constraint
-  /// path or removes one edge, so real instances finish far earlier).
-  std::size_t max_iterations = 5000;
   /// Seed for LP randomized rounding.
   std::uint64_t rng_seed = 1;
-  CoveringOptions covering;
   /// Deterministic work caps for the whole attack (all-zero = unlimited).
   /// run_attack() copies this, threads the copy through oracle/yen/simplex,
   /// and converts an exhausted budget into AttackStatus::BudgetExhausted.
@@ -47,6 +42,8 @@ struct AttackOptions {
 
 /// Runs `algorithm` on `problem`.  The returned removal set never touches
 /// edges of p*.  `result.seconds` measures the attack computation only.
+/// Throws PreconditionViolation when any edge's cost is negative or not
+/// finite (make an edge unremovable with `protected_edges` instead).
 AttackResult run_attack(Algorithm algorithm, const ForcePathCutProblem& problem,
                         const AttackOptions& options = {});
 

@@ -12,10 +12,10 @@ namespace {
 /// Attack cost under the given protection mask; +inf when the attack can
 /// no longer succeed (Infeasible or budget-bound).
 double evaluate(const ForcePathCutProblem& base, const std::vector<std::uint8_t>& protection,
-                const DefenseOptions& options, AttackResult* out = nullptr) {
+                AttackResult* out = nullptr) {
   ForcePathCutProblem problem = base;
   problem.protected_edges = protection;
-  const AttackResult result = run_attack(options.attacker, problem, options.attack_options);
+  const AttackResult result = run_attack(Algorithm::GreedyPathCover, problem);
   if (out != nullptr) *out = result;
   if (result.status != AttackStatus::Success) {
     return std::numeric_limits<double>::infinity();
@@ -26,8 +26,7 @@ double evaluate(const ForcePathCutProblem& base, const std::vector<std::uint8_t>
 }  // namespace
 
 DefenseResult harden_against_force_path_cut(const ForcePathCutProblem& problem,
-                                            std::size_t max_protected,
-                                            const DefenseOptions& options) {
+                                            std::size_t max_protected) {
   require(problem.graph != nullptr, "harden: null graph");
   require(problem.protected_edges.empty(),
           "harden: problem already carries a protection mask");
@@ -36,7 +35,7 @@ DefenseResult harden_against_force_path_cut(const ForcePathCutProblem& problem,
   std::vector<std::uint8_t> protection(problem.graph->num_edges(), 0);
 
   AttackResult attack;
-  double current_cost = evaluate(problem, protection, options, &attack);
+  double current_cost = evaluate(problem, protection, &attack);
   result.initial_attack_cost = current_cost;
   result.final_attack_cost = current_cost;
   if (!std::isfinite(current_cost)) {
@@ -57,7 +56,7 @@ DefenseResult harden_against_force_path_cut(const ForcePathCutProblem& problem,
     for (EdgeId candidate : attack.removed_edges) {
       protection[candidate.value()] = 1;
       AttackResult trial_attack;
-      const double trial = evaluate(problem, protection, options, &trial_attack);
+      const double trial = evaluate(problem, protection, &trial_attack);
       protection[candidate.value()] = 0;
       if (trial > best_cost) {
         best_cost = trial;

@@ -15,13 +15,6 @@
 
 namespace mts::attack {
 
-struct DefenseOptions {
-  /// Attack used to evaluate the defender's moves (the paper's best
-  /// quality/speed trade-off by default).
-  Algorithm attacker = Algorithm::GreedyPathCover;
-  AttackOptions attack_options;
-};
-
 struct DefenseRound {
   EdgeId protected_edge;
   double attack_cost_before = 0.0;
@@ -37,10 +30,10 @@ struct DefenseResult {
 };
 
 /// Greedily protects up to `max_protected` edges against the Force Path
-/// Cut instance in `problem`.  Protected edges get infinite removal cost
-/// (the problem's cost vector is copied and modified internally).
+/// Cut instance in `problem`, pricing each move with GreedyPathCover (the
+/// paper's best quality/speed trade-off).  Protection is a mask on a copy
+/// of the problem (`protected_edges`); costs are never modified.
 DefenseResult harden_against_force_path_cut(const ForcePathCutProblem& problem,
-                                            std::size_t max_protected,
-                                            const DefenseOptions& options = {});
+                                            std::size_t max_protected);
 
 }  // namespace mts::attack

@@ -7,16 +7,17 @@
 #include "attack/oracle.hpp"
 #include "core/error.hpp"
 #include "core/timer.hpp"
+#include "lp/covering.hpp"
 
 namespace mts::attack {
 
-ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem,
-                                   const ExactAttackOptions& options) {
+ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem) {
   require(problem.graph != nullptr, "exact attack: null graph");
   require(problem.weights.size() == problem.graph->num_edges(),
           "exact attack: weights size mismatch");
   require(problem.costs.size() == problem.graph->num_edges(),
           "exact attack: costs size mismatch");
+  require_valid_costs(problem, "exact attack");
 
   Stopwatch stopwatch;
   ExactAttackResult result;
@@ -61,7 +62,7 @@ ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem,
     return result;
   };
 
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxAttackIterations; ++iter) {
     std::unordered_map<std::uint32_t, std::size_t> var_of;
     std::vector<EdgeId> vars;
     CoveringProblem covering;
@@ -81,7 +82,7 @@ ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem,
 
     std::vector<EdgeId> cut;
     if (!covering.sets.empty()) {
-      const ExactCoverSolution cover = solve_covering_exact(covering, options.cover);
+      const ExactCoverSolution cover = solve_covering_exact(covering);
       require(cover.feasible, "exact attack: cover unexpectedly infeasible");
       all_proven &= cover.proven_optimal;
       for (std::size_t j : cover.chosen) cut.push_back(vars[j]);
@@ -110,7 +111,6 @@ ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem,
         }
       }
       if (!cheapest.valid()) return finish(AttackStatus::Infeasible, std::move(cut), iter);
-      unremovable[cheapest.value()] = 0;  // no-op, keeps structure clear
       // Add it as a singleton constraint so every future cover includes it.
       Path singleton;
       singleton.edges = {cheapest};
@@ -119,7 +119,7 @@ ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem,
       constraints.push_back(*violating);
     }
   }
-  return finish(AttackStatus::IterationLimit, filter.removed_edges(), options.max_iterations);
+  return finish(AttackStatus::IterationLimit, filter.removed_edges(), kMaxAttackIterations);
 }
 
 }  // namespace mts::attack

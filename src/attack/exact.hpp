@@ -10,14 +10,8 @@
 #pragma once
 
 #include "attack/problem.hpp"
-#include "lp/covering.hpp"
 
 namespace mts::attack {
-
-struct ExactAttackOptions {
-  std::size_t max_iterations = 5000;
-  ExactCoverOptions cover;
-};
 
 struct ExactAttackResult {
   AttackStatus status = AttackStatus::IterationLimit;
@@ -31,9 +25,8 @@ struct ExactAttackResult {
   double seconds = 0.0;
 };
 
-/// Solves `problem` to certified optimality (budget and protected-edge
-/// semantics as in run_attack).
-ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem,
-                                   const ExactAttackOptions& options = {});
+/// Solves `problem` to certified optimality (budget, protected-edge and
+/// cost-validation semantics as in run_attack).
+ExactAttackResult run_exact_attack(const ForcePathCutProblem& problem);
 
 }  // namespace mts::attack

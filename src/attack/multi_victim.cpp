@@ -12,8 +12,7 @@
 
 namespace mts::attack {
 
-MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem,
-                                          const AttackOptions& options) {
+MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem) {
   require(problem.graph != nullptr, "multi_victim: null graph");
   require(problem.weights.size() == problem.graph->num_edges(),
           "multi_victim: weights size mismatch");
@@ -80,7 +79,7 @@ MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem,
     return result;
   };
 
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxAttackIterations; ++iter) {
     // Covering instance over removable edges of all constraint paths.
     std::unordered_map<std::uint32_t, std::size_t> var_of;
     std::vector<EdgeId> vars;
@@ -155,7 +154,7 @@ MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem,
     }
     if (all_clear) return finish(AttackStatus::Success, std::move(cut), iter);
   }
-  return finish(AttackStatus::IterationLimit, filter.removed_edges(), options.max_iterations);
+  return finish(AttackStatus::IterationLimit, filter.removed_edges(), kMaxAttackIterations);
 }
 
 }  // namespace mts::attack

@@ -44,7 +44,6 @@ struct MultiVictimResult {
 /// Finds one closure set forcing every victim at once.  Infeasible when
 /// some victim has a faster-or-tied path consisting entirely of protected
 /// edges (other victims' routes).
-MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem,
-                                          const AttackOptions& options = {});
+MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem);
 
 }  // namespace mts::attack

@@ -5,11 +5,13 @@
 // that p* is the *exclusive* shortest s→d path in G \ E'.
 #pragma once
 
+#include <cmath>
 #include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "graph/digraph.hpp"
 #include "graph/path.hpp"
 
@@ -55,6 +57,24 @@ struct ForcePathCutProblem {
   /// same pointer is safe across the parallel harness's workers.
   const ChAssets* ch = nullptr;
 };
+
+/// Checked once by every attack entry point: each edge's removal cost must
+/// be finite and >= 0.  An edge the attacker may not remove belongs in
+/// `protected_edges`, not behind an infinite cost.
+inline void require_valid_costs(const ForcePathCutProblem& problem, const std::string& caller) {
+  for (std::size_t e = 0; e < problem.costs.size(); ++e) {
+    const double cost = problem.costs[e];
+    if (std::isfinite(cost) && cost >= 0.0) continue;
+    require(false, caller + ": edge " + std::to_string(e) + " has " +
+                       (std::isfinite(cost) ? "negative" : "non-finite") + " cost " +
+                       std::to_string(cost));
+  }
+}
+
+/// Cap on the oracle-driven iterations of every attack loop (each discovers
+/// one new constraint path or removes one edge, so real instances finish
+/// far earlier).
+inline constexpr std::size_t kMaxAttackIterations = 5000;
 
 enum class AttackStatus {
   Success,         // p* certified exclusively shortest after removals

@@ -1,7 +1,6 @@
 #include "cli/cli.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -359,36 +358,6 @@ std::uint16_t resolve_port(const Flags& flags, bool require_positive) {
   return static_cast<std::uint16_t>(port);
 }
 
-/// Overload knobs parse strictly: a typo like MTS_DEADLINE_MS=nope must
-/// abort, not silently serve with the protection off — that is exactly
-/// the run where the operator wanted it on.  The shared env_int /
-/// env_double helpers deliberately fall back on unparseable input
-/// (tuning knobs such as MTS_SCALE tolerate that); these do not.
-/// Unset or empty still means 0 = off.
-std::size_t strict_env_count(const char* name) {
-  const char* raw = env_raw(name);
-  if (raw == nullptr || *raw == '\0') return 0;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE || parsed < 0) {
-    throw InvalidInput(std::string(name) + " must be >= 0, got '" + raw + "'");
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-double strict_env_millis(const char* name) {
-  const char* raw = env_raw(name);
-  if (raw == nullptr || *raw == '\0') return 0.0;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || errno == ERANGE || !(parsed >= 0.0)) {
-    throw InvalidInput(std::string(name) + " must be >= 0 (milliseconds), got '" + raw + "'");
-  }
-  return parsed;
-}
-
 int cmd_routed(const Flags& flags, std::ostream& out, std::ostream& err) {
   const std::string obs_base = flags.get("obs", "");
   if (!obs_base.empty()) obs::set_metrics_enabled(true);
@@ -412,10 +381,22 @@ int cmd_routed(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   // Overload knobs (DESIGN.md §15); each defaults to 0 = off, so an
   // unconfigured daemon behaves byte-for-byte like the pre-overload one.
-  options.max_inflight = strict_env_count("MTS_MAX_INFLIGHT");
-  options.max_queue = strict_env_count("MTS_MAX_QUEUE");
-  options.deadline_s = strict_env_millis("MTS_DEADLINE_MS") / 1000.0;
-  options.write_timeout_s = strict_env_millis("MTS_WRITE_TIMEOUT_MS") / 1000.0;
+  // env_int/env_double reject a malformed value, so a typo aborts instead
+  // of serving with the protection off; a negative value is rejected here.
+  const auto count = [](const char* name) {
+    const std::int64_t value = env_int(name, 0);
+    if (value < 0) throw InvalidInput(std::string(name) + " must be >= 0");
+    return static_cast<std::size_t>(value);
+  };
+  const auto seconds_from_ms = [](const char* name) {
+    const double ms = env_double(name, 0.0);
+    if (ms < 0.0) throw InvalidInput(std::string(name) + " must be >= 0 (milliseconds)");
+    return ms / 1000.0;
+  };
+  options.max_inflight = count("MTS_MAX_INFLIGHT");
+  options.max_queue = count("MTS_MAX_QUEUE");
+  options.deadline_s = seconds_from_ms("MTS_DEADLINE_MS");
+  options.write_timeout_s = seconds_from_ms("MTS_WRITE_TIMEOUT_MS");
 
   // MTS_METRICS_INTERVAL (seconds) arms the periodic snapshot flusher; it
   // implies metrics recording, since an all-zero artifact helps nobody.

@@ -1,6 +1,7 @@
 #include "core/env.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -17,8 +18,11 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   const char* raw = env_raw(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(raw, &end, 10);
-  if (end == raw) return fallback;
+  if (end == raw || *end != '\0' || errno == ERANGE) {
+    throw InvalidInput(name + ": expected an integer, got '" + raw + "'");
+  }
   return parsed;
 }
 
@@ -26,8 +30,11 @@ double env_double(const std::string& name, double fallback) {
   const char* raw = env_raw(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(raw, &end);
-  if (end == raw) return fallback;
+  if (end == raw || *end != '\0' || errno == ERANGE || !std::isfinite(parsed)) {
+    throw InvalidInput(name + ": expected a finite number, got '" + raw + "'");
+  }
   return parsed;
 }
 
@@ -57,7 +64,12 @@ BenchEnv BenchEnv::from_environment() {
   env.seed = static_cast<std::uint64_t>(env_int("MTS_SEED", static_cast<std::int64_t>(env.seed)));
   env.path_rank = static_cast<int>(env_int("MTS_PATH_RANK", env.path_rank));
   env.threads = static_cast<int>(env_threads());
-  env.timing = env_int("MTS_TIMING", env.timing ? 1 : 0) != 0;
+  // timing_enabled() (core/timer.hpp) reads MTS_TIMING itself and treats
+  // only "0" as off, so any spelling but 0 or 1 would silently time.
+  const std::string timing = env_string("MTS_TIMING", "1");
+  if (timing != "0" && timing != "1") {
+    throw InvalidInput("MTS_TIMING: expected 0 or 1, got '" + timing + "'");
+  }
   env.checkpoint = env_string("MTS_CHECKPOINT", env.checkpoint);
   // Force the one-time MTS_FAULTS parse now: a malformed spec must abort at
   // startup, not surface later as a quarantine on every cell.

@@ -1,5 +1,9 @@
 // Environment-variable knobs shared by every benchmark binary.
 //
+// Numeric knobs parse strictly: unset or empty means the default, and any
+// value that is not fully numeric (e.g. "O.2" typed with a letter O) throws
+// InvalidInput naming the variable instead of quietly running the default.
+//
 // MTS_SCALE     city size multiplier (1 = scaled-down default, larger values
 //               approach the paper's full-size graphs)
 // MTS_TRIALS    experiments per table cell (paper used 40; default 24)
@@ -10,7 +14,8 @@
 //               see core/thread_pool.hpp.
 // MTS_TIMING    1 (default) = report wall-clock runtimes; 0 = report zeros,
 //               making every table/JSON byte-identical across runs and
-//               thread counts (used by the determinism tests and CI)
+//               thread counts (used by the determinism tests and CI).
+//               Bench binaries reject any other value.
 // MTS_METRICS   1 = record counters/histograms/phase rollups and write
 //               <artifact>_metrics.json next to each bench artifact
 //               (default 0: near-zero overhead, no extra files)
@@ -72,8 +77,9 @@ inline const char* env_raw(const char* name) {
   return std::getenv(name);  // mts-lint: allow(no-raw-getenv) the one entry point
 }
 
-/// Reads an integer environment variable, falling back to `fallback` when
-/// unset or unparsable.
+/// Reads an integer environment variable: `fallback` when unset or empty;
+/// throws InvalidInput naming the variable when the value is not a
+/// fully-consumed base-10 integer ("2O", "4x", "abc").
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
 /// Strictly-validated MTS_THREADS read: unset or empty means 0 (= hardware
@@ -83,7 +89,8 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback);
 /// falling back — a typo'd thread count must never change results quietly.
 std::size_t env_threads();
 
-/// Reads a floating-point environment variable with fallback.
+/// Reads a floating-point environment variable with the same contract as
+/// env_int; non-finite values ("nan", "inf") are rejected too.
 double env_double(const std::string& name, double fallback);
 
 /// Reads a string environment variable, falling back when unset or empty.
@@ -95,10 +102,11 @@ struct BenchEnv {
   int trials = 24;
   std::uint64_t seed = 7;
   int path_rank = 100;
-  int threads = 0;     // 0 = hardware concurrency
-  bool timing = true;  // false = zero out reported wall-clock values
+  int threads = 0;  // 0 = hardware concurrency
   std::string checkpoint;  // cell journal path; empty = no journaling
 
+  /// Reads every knob above and validates MTS_TIMING (0 or 1; reported
+  /// durations themselves pass through timing_enabled()).
   static BenchEnv from_environment();
 
   /// Prints a one-line run header to stderr: the binary name, every knob,

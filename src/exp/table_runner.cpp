@@ -9,6 +9,7 @@
 #include "core/error.hpp"
 #include "core/fault.hpp"
 #include "core/thread_pool.hpp"
+#include "core/timer.hpp"
 #include "exp/checkpoint.hpp"
 #include "graph/ch_assets.hpp"
 #include "graph/yen.hpp"
@@ -45,7 +46,7 @@ std::string checkpoint_fingerprint(const RunConfig& config) {
   fp += "|trials=" + std::to_string(config.trials);
   fp += "|rank=" + std::to_string(config.path_rank);
   fp += "|seed=" + std::to_string(config.seed);
-  fp += config.deterministic_timing ? "|dt=1" : "|dt=0";
+  fp += timing_enabled() ? "|dt=0" : "|dt=1";
   fp += "|edges=" + std::to_string(config.work_budget.max_edges_scanned);
   fp += "|pivots=" + std::to_string(config.work_budget.max_lp_pivots);
   fp += "|spurs=" + std::to_string(config.work_budget.max_spur_searches);
@@ -183,7 +184,7 @@ CityTableResult run_city_table_on(const osm::RoadNetwork& network,
       record.status = to_string(attack.status);
       record.fallback_used = attack.fallback_used;
       record.fallback_reason = attack.fallback_reason;
-      record.seconds = config.deterministic_timing ? 0.0 : attack.seconds;
+      record.seconds = attack.seconds;
       record.removed = attack.num_removed();
       record.total_cost = attack.total_cost;
       if (attack.status == AttackStatus::Success) {

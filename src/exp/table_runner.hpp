@@ -26,9 +26,6 @@ struct RunConfig {
   int trials = 12;       // scenarios (paper: 40 = 10 sources x 4 hospitals)
   int path_rank = 100;   // p* = path_rank-th shortest path
   std::uint64_t seed = 7;
-  /// Report 0.0 for every wall-clock value, so the rendered tables and
-  /// JSON are byte-identical across runs and thread counts (MTS_TIMING=0).
-  bool deterministic_timing = false;
   /// When non-empty, each cleanly completed cell is appended to this JSONL
   /// journal as it finishes (survives a kill mid-grid).
   std::string checkpoint_path;

@@ -29,6 +29,10 @@ bool covers_all(const CoveringProblem& problem, const std::vector<std::uint8_t>&
 }
 
 constexpr double kNoSolution = std::numeric_limits<double>::infinity();
+/// Randomized-rounding attempts on top of the deterministic sweep.
+constexpr std::size_t kRandomizedAttempts = 8;
+/// Branch-and-bound node cap for solve_covering_exact.
+constexpr std::size_t kMaxNodes = 200000;
 
 double total_cost(const CoveringProblem& problem, const std::vector<std::uint8_t>& picked) {
   double cost = 0.0;
@@ -65,7 +69,7 @@ std::vector<std::size_t> to_indices(const std::vector<std::uint8_t>& picked) {
 }  // namespace
 
 CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
-                                   const CoveringOptions& options) {
+                                   WorkBudget* budget) {
   CoveringSolution solution;
   for (const auto& set : problem.sets) {
     if (set.empty()) return solution;  // uncoverable constraint
@@ -75,15 +79,9 @@ CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
     return solution;
   }
 
-  LpProblem lp;
-  lp.num_vars = problem.costs.size();
-  lp.objective = problem.costs;
-  for (const auto& set : problem.sets) {
-    std::vector<std::size_t> indices(set.begin(), set.end());
-    std::vector<double> values(set.size(), 1.0);
-    lp.add_constraint(std::move(indices), std::move(values), Relation::GreaterEqual, 1.0);
-  }
-  const LpResult lp_result = solve_lp(lp, options.lp);
+  LpOptions lp_options;
+  lp_options.budget = budget;
+  const LpResult lp_result = solve_lp(problem, lp_options);
   if (lp_result.status != LpStatus::Optimal) {
     // Degradation chain: a covering LP is always feasible and bounded once
     // every set is non-empty (x = 1 covers; costs > 0), so a non-Optimal
@@ -97,13 +95,9 @@ CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
       fallback.fallback_reason += " (phase " + std::to_string(lp_result.limit_phase) + ", " +
                                   std::to_string(lp_result.iterations) + " iterations)";
     }
-    fallback.bland_engaged = lp_result.bland_engaged;
-    fallback.lp_iterations = lp_result.iterations;
     return fallback;
   }
   solution.lp_lower_bound = lp_result.objective;
-  solution.lp_iterations = lp_result.iterations;
-  solution.bland_engaged = lp_result.bland_engaged;
 
   const std::size_t n = problem.costs.size();
   std::vector<std::uint8_t> best(n, 0);
@@ -119,11 +113,6 @@ CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
     std::vector<std::uint8_t> picked(n, 0);
     for (std::size_t j : order) {
       if (covers_all(problem, picked)) break;
-      if (lp_result.x[j] <= 0.0) {
-        // LP support exhausted but not covered (possible after pruning by
-        // tolerance): fall through and let the remaining zero-value
-        // elements complete the cover in cost order.
-      }
       picked[j] = 1;
     }
     if (covers_all(problem, picked)) {
@@ -135,7 +124,7 @@ CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
 
   // Randomized rounding: include j with probability min(1, scale * x_j),
   // escalating scale until valid; keep the cheapest result.
-  for (std::size_t attempt = 0; attempt < options.randomized_attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kRandomizedAttempts; ++attempt) {
     std::vector<std::uint8_t> picked(n, 0);
     double scale = 1.0;
     for (int escalation = 0; escalation < 8; ++escalation) {
@@ -229,11 +218,9 @@ struct BranchState {
 
 /// Builds the reduced LP for the current branch; returns nullopt when a
 /// set has no pickable element left (infeasible branch).
-std::optional<LpResult> branch_lp(const CoveringProblem& problem, const BranchState& state,
-                                  const LpOptions& lp_options) {
-  LpProblem lp;
-  lp.num_vars = problem.costs.size();
-  lp.objective = problem.costs;
+std::optional<LpResult> branch_lp(const CoveringProblem& problem, const BranchState& state) {
+  CoveringProblem lp;
+  lp.costs = problem.costs;
   for (const auto& set : problem.sets) {
     bool hit = false;
     std::vector<std::size_t> indices;
@@ -246,22 +233,17 @@ std::optional<LpResult> branch_lp(const CoveringProblem& problem, const BranchSt
     }
     if (hit) continue;
     if (indices.empty()) return std::nullopt;
-    std::vector<double> values(indices.size(), 1.0);
-    lp.add_constraint(std::move(indices), std::move(values), Relation::GreaterEqual, 1.0);
+    lp.sets.push_back(std::move(indices));
   }
-  // Pin branched variables.
-  for (std::size_t j = 0; j < problem.costs.size(); ++j) {
-    if (state.forbidden[j]) lp.add_constraint({j}, {1.0}, Relation::Equal, 0.0);
-  }
-  auto result = solve_lp(lp, lp_options);
+  // Forbidden elements appear in no row, so their x stays 0.
+  auto result = solve_lp(lp);
   if (result.status != LpStatus::Optimal) return std::nullopt;
   return result;
 }
 
 }  // namespace
 
-ExactCoverSolution solve_covering_exact(const CoveringProblem& problem,
-                                        const ExactCoverOptions& options) {
+ExactCoverSolution solve_covering_exact(const CoveringProblem& problem) {
   ExactCoverSolution solution;
   for (const auto& set : problem.sets) {
     if (set.empty()) return solution;
@@ -286,16 +268,17 @@ ExactCoverSolution solve_covering_exact(const CoveringProblem& problem,
   // Depth-first branch and bound (explicit stack).
   std::vector<BranchState> stack;
   stack.push_back({std::vector<std::uint8_t>(n, 0), std::vector<std::uint8_t>(n, 0), 0.0});
+  std::size_t nodes_explored = 0;
   while (!stack.empty()) {
-    if (solution.nodes_explored >= options.max_nodes) {
+    if (nodes_explored >= kMaxNodes) {
       exhausted_cleanly = false;
       break;
     }
-    ++solution.nodes_explored;
+    ++nodes_explored;
     BranchState state = std::move(stack.back());
     stack.pop_back();
 
-    const auto lp = branch_lp(problem, state, options.lp);
+    const auto lp = branch_lp(problem, state);
     if (!lp) continue;  // infeasible branch
     // Objective includes only free variables; forced cost adds on top.
     if (lp->objective + state.forced_cost >= solution.cost - kEps) continue;  // pruned

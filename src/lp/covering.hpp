@@ -12,26 +12,18 @@
 #include <string>
 #include <vector>
 
+#include "core/budget.hpp"
 #include "lp/simplex.hpp"
 
 namespace mts {
 
 class Rng;
 
-struct CoveringProblem {
-  /// cost[j] of picking element j (an edge), > 0.
-  std::vector<double> costs;
-  /// sets[i] lists the element indices that cover constraint i (the
-  /// removable edges of path i).  Every set must be non-empty.
-  std::vector<std::vector<std::size_t>> sets;
-};
-
 struct CoveringSolution {
   bool feasible = false;
   std::vector<std::size_t> chosen;  // element indices, ascending
   double cost = 0.0;
   double lp_lower_bound = 0.0;      // LP optimum: certified lower bound
-  std::size_t lp_iterations = 0;
   /// True when the LP solve failed (iteration limit, numerical poisoning)
   /// and the greedy cover was substituted; lp_lower_bound is then 0 (no
   /// certified bound).  See DESIGN.md §10 (degradation chain).
@@ -39,46 +31,31 @@ struct CoveringSolution {
   /// Human-readable reason when fallback_used ("lp iteration-limit
   /// (phase 2, 20000 iterations)", "lp numerical", ...).
   std::string fallback_reason;
-  /// True when simplex stall detection engaged Bland's anti-cycling rule.
-  bool bland_engaged = false;
-};
-
-struct CoveringOptions {
-  /// Randomized-rounding attempts on top of the deterministic sweep.
-  std::size_t randomized_attempts = 8;
-  LpOptions lp;
 };
 
 /// Solves the LP relaxation of `problem` and rounds to an integral cover.
-/// `rng` drives randomized rounding.  Infeasible only when some set is
+/// `rng` drives randomized rounding; `budget` (nullptr = unlimited) is
+/// charged one unit per simplex pivot.  Infeasible only when some set is
 /// empty (nothing can cover that constraint).
 CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
-                                   const CoveringOptions& options = {});
+                                   WorkBudget* budget = nullptr);
 
 /// Classical greedy weighted set cover (max newly-covered per unit cost);
 /// used by GreedyPathCover.  Same feasibility semantics.
 CoveringSolution solve_covering_greedy(const CoveringProblem& problem);
-
-struct ExactCoverOptions {
-  /// Cap on branch-and-bound nodes; instances past the cap return the
-  /// incumbent with `proven_optimal = false`.
-  std::size_t max_nodes = 200000;
-  LpOptions lp;
-};
 
 struct ExactCoverSolution {
   bool feasible = false;
   bool proven_optimal = false;
   std::vector<std::size_t> chosen;
   double cost = 0.0;
-  std::size_t nodes_explored = 0;
 };
 
 /// Exact minimum-cost cover by LP-based branch and bound (branch on the
 /// most fractional element; LP relaxation bounds; greedy incumbent).
 /// Intended for constraint-generation subproblems (tens of sets), where
-/// it certifies global optimality of the Force Path Cut solution.
-ExactCoverSolution solve_covering_exact(const CoveringProblem& problem,
-                                        const ExactCoverOptions& options = {});
+/// it certifies global optimality of the Force Path Cut solution.  Past a
+/// fixed node cap it returns the incumbent with `proven_optimal = false`.
+ExactCoverSolution solve_covering_exact(const CoveringProblem& problem);
 
 }  // namespace mts

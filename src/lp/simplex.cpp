@@ -1,7 +1,7 @@
 #include "lp/simplex.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -11,12 +11,6 @@
 #include "obs/phase.hpp"
 
 namespace mts {
-
-void LpProblem::add_constraint(std::vector<std::size_t> indices, std::vector<double> values,
-                               Relation relation, double rhs) {
-  require(indices.size() == values.size(), "add_constraint: index/value size mismatch");
-  constraints.push_back({std::move(indices), std::move(values), relation, rhs});
-}
 
 std::string to_string(LpStatus status) {
   switch (status) {
@@ -30,6 +24,14 @@ std::string to_string(LpStatus status) {
 }
 
 namespace {
+
+/// Iteration cap across both phases; the covering LPs the attacks pose
+/// finish in a few hundred pivots.
+constexpr std::size_t kMaxIterations = 20000;
+/// Switch from Dantzig to Bland pricing after this many consecutive
+/// degenerate pivots.
+constexpr std::size_t kBlandAfterStalls = 64;
+constexpr double kTolerance = 1e-9;
 
 /// Dense tableau with an explicit objective row.  Rows 0..m-1 are
 /// constraints; `obj` is the reduced-cost row; `rhs` the right-hand sides.
@@ -119,16 +121,17 @@ bool invariant_checks_enabled(const LpOptions& options) {
 #endif
 }
 
-/// Runs simplex iterations on `t` until optimality.  `allowed[c]` masks
-/// columns permitted to enter the basis.  `basis[r]` tracks basic columns.
-/// `degenerate` accumulates the number of zero-progress (stalled) pivots.
-PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis,
-                       const std::vector<std::uint8_t>& allowed, const LpOptions& options,
-                       std::size_t& iterations, std::size_t& degenerate, bool& bland_engaged) {
+/// Runs simplex iterations on `t` until optimality.  Only columns below
+/// `enterable` may enter the basis (phase 2 bars the artificials, which sit
+/// last).  `basis[r]` tracks basic columns.  `degenerate` accumulates the
+/// number of zero-progress (stalled) pivots.
+PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis, std::size_t enterable,
+                       const LpOptions& options, std::size_t& iterations,
+                       std::size_t& degenerate) {
   const bool validate = invariant_checks_enabled(options);
   std::size_t stalls = 0;
   while (true) {
-    if (iterations >= options.max_iterations) return PhaseOutcome::IterationLimit;
+    if (iterations >= kMaxIterations) return PhaseOutcome::IterationLimit;
     switch (MTS_FAULT_ACTION("lp.pivot")) {
       case fault::Action::Throw:
         fault::throw_injected("lp.pivot", fault::Action::Throw);
@@ -146,15 +149,13 @@ PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis,
     }
     if (options.budget != nullptr) options.budget->charge_lp_pivots(1);
 
-    const bool use_bland = stalls >= options.bland_after_stalls;
-    if (use_bland) bland_engaged = true;
+    const bool use_bland = stalls >= kBlandAfterStalls;
     std::size_t entering = t.cols();
-    double best = -options.tolerance;
-    for (std::size_t c = 0; c < t.cols(); ++c) {
-      if (!allowed[c]) continue;
+    double best = -kTolerance;
+    for (std::size_t c = 0; c < enterable; ++c) {
       const double reduced = t.obj()[c];
       if (use_bland) {
-        if (reduced < -options.tolerance) {
+        if (reduced < -kTolerance) {
           entering = c;
           break;
         }
@@ -169,10 +170,10 @@ PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis,
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < t.rows(); ++r) {
       const double coeff = t.at(r, entering);
-      if (coeff <= options.tolerance) continue;
+      if (coeff <= kTolerance) continue;
       const double ratio = t.rhs()[r] / coeff;
-      if (ratio < best_ratio - options.tolerance ||
-          (ratio < best_ratio + options.tolerance && leaving < t.rows() &&
+      if (ratio < best_ratio - kTolerance ||
+          (ratio < best_ratio + kTolerance && leaving < t.rows() &&
            basis[r] < basis[leaving])) {
         best_ratio = ratio;
         leaving = r;
@@ -180,7 +181,7 @@ PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis,
     }
     if (leaving == t.rows()) return PhaseOutcome::Unbounded;
 
-    if (best_ratio < options.tolerance) {
+    if (best_ratio < kTolerance) {
       ++stalls;
       ++degenerate;
     } else {
@@ -193,10 +194,6 @@ PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis,
     ++iterations;
   }
 }
-
-}  // namespace
-
-namespace {
 
 /// Flushes one solve's counters on every return path.
 struct LpCounterFlush {
@@ -226,67 +223,26 @@ struct LpCounterFlush {
 
 }  // namespace
 
-LpResult solve_lp(const LpProblem& problem, const LpOptions& options) {
-  require(problem.objective.size() == problem.num_vars, "solve_lp: objective size mismatch");
+LpResult solve_lp(const CoveringProblem& problem, const LpOptions& options) {
   obs::ScopedPhase phase("lp");
-  const std::size_t n = problem.num_vars;
-  const std::size_t m = problem.constraints.size();
+  const std::size_t n = problem.costs.size();
+  const std::size_t m = problem.sets.size();
 
-  // Column layout: [0, n) structural, then one slack/surplus per inequality
-  // row, then one artificial per >=/== row.
-  std::size_t num_slack = 0;
-  std::size_t num_artificial = 0;
-  for (const auto& con : problem.constraints) {
-    // Normalization below flips rows with negative rhs, which can turn <=
-    // into >= and vice versa; count after normalization.
-    const bool flips = con.rhs < 0.0;
-    Relation rel = con.relation;
-    if (flips) {
-      if (rel == Relation::LessEqual) rel = Relation::GreaterEqual;
-      else if (rel == Relation::GreaterEqual) rel = Relation::LessEqual;
-    }
-    if (rel != Relation::Equal) ++num_slack;
-    if (rel != Relation::LessEqual) ++num_artificial;
-  }
-
-  const std::size_t total_cols = n + num_slack + num_artificial;
+  // Column layout: [0, n) structural, then one surplus per row, then one
+  // artificial per row.  The artificials form the starting basis.
+  const std::size_t first_artificial = n + m;
+  const std::size_t total_cols = first_artificial + m;
   Tableau tableau(m, total_cols);
-  std::vector<std::size_t> basis(m, total_cols);
-  std::vector<std::uint8_t> is_artificial(total_cols, 0);
-
-  std::size_t next_slack = n;
-  std::size_t next_artificial = n + num_slack;
+  std::vector<std::size_t> basis(m);
   for (std::size_t r = 0; r < m; ++r) {
-    const auto& con = problem.constraints[r];
-    const double sign = con.rhs < 0.0 ? -1.0 : 1.0;
-    Relation rel = con.relation;
-    if (sign < 0.0) {
-      if (rel == Relation::LessEqual) rel = Relation::GreaterEqual;
-      else if (rel == Relation::GreaterEqual) rel = Relation::LessEqual;
+    for (const std::size_t j : problem.sets[r]) {
+      require(j < n, "solve_lp: constraint index out of range");
+      tableau.at(r, j) += 1.0;
     }
-    for (std::size_t k = 0; k < con.indices.size(); ++k) {
-      require(con.indices[k] < n, "solve_lp: constraint index out of range");
-      tableau.at(r, con.indices[k]) += sign * con.values[k];
-    }
-    tableau.rhs()[r] = sign * con.rhs;
-
-    if (rel == Relation::LessEqual) {
-      tableau.at(r, next_slack) = 1.0;
-      basis[r] = next_slack;
-      ++next_slack;
-    } else if (rel == Relation::GreaterEqual) {
-      tableau.at(r, next_slack) = -1.0;  // surplus
-      ++next_slack;
-      tableau.at(r, next_artificial) = 1.0;
-      is_artificial[next_artificial] = 1;
-      basis[r] = next_artificial;
-      ++next_artificial;
-    } else {
-      tableau.at(r, next_artificial) = 1.0;
-      is_artificial[next_artificial] = 1;
-      basis[r] = next_artificial;
-      ++next_artificial;
-    }
+    tableau.rhs()[r] = 1.0;
+    tableau.at(r, n + r) = -1.0;  // surplus
+    tableau.at(r, first_artificial + r) = 1.0;
+    basis[r] = first_artificial + r;
   }
 
   LpResult result;
@@ -296,23 +252,19 @@ LpResult solve_lp(const LpProblem& problem, const LpOptions& options) {
   if (invariant_checks_enabled(options)) tableau.check_invariants(basis);
 
   // ---- Phase 1: minimize sum of artificials.
-  if (num_artificial > 0) {
+  if (m > 0) {
     flush.phase1 = true;
     for (std::size_t c = 0; c < total_cols; ++c) {
-      tableau.obj()[c] = is_artificial[c] ? 1.0 : 0.0;
+      tableau.obj()[c] = c >= first_artificial ? 1.0 : 0.0;
     }
     tableau.obj_value() = 0.0;
-    // Price out the initial (artificial) basis.
+    // Price out the initial (all-artificial) basis.
     for (std::size_t r = 0; r < m; ++r) {
-      if (!is_artificial[basis[r]]) continue;
       for (std::size_t c = 0; c < total_cols; ++c) tableau.obj()[c] -= tableau.at(r, c);
       tableau.obj_value() -= tableau.rhs()[r];
     }
-    std::vector<std::uint8_t> allowed(total_cols, 1);
-    const auto outcome =
-        run_phase(tableau, basis, allowed, options, iterations, degenerate, result.bland_engaged);
+    const auto outcome = run_phase(tableau, basis, total_cols, options, iterations, degenerate);
     result.iterations = iterations;
-    result.degenerate_pivots = degenerate;
     if (outcome == PhaseOutcome::IterationLimit) {
       result.status = LpStatus::IterationLimit;
       result.limit_phase = 1;
@@ -326,9 +278,9 @@ LpResult solve_lp(const LpProblem& problem, const LpOptions& options) {
     }
     // Drive any basic artificial (at value 0) out of the basis if possible.
     for (std::size_t r = 0; r < m; ++r) {
-      if (!is_artificial[basis[r]]) continue;
-      for (std::size_t c = 0; c < n + num_slack; ++c) {
-        if (std::abs(tableau.at(r, c)) > options.tolerance) {
+      if (basis[r] < first_artificial) continue;
+      for (std::size_t c = 0; c < first_artificial; ++c) {
+        if (std::abs(tableau.at(r, c)) > kTolerance) {
           tableau.pivot(r, c);
           basis[r] = c;
           break;
@@ -341,24 +293,19 @@ LpResult solve_lp(const LpProblem& problem, const LpOptions& options) {
 
   // ---- Phase 2: true objective.
   for (std::size_t c = 0; c < total_cols; ++c) {
-    tableau.obj()[c] = c < n ? problem.objective[c] : 0.0;
+    tableau.obj()[c] = c < n ? problem.costs[c] : 0.0;
   }
   tableau.obj_value() = 0.0;
   for (std::size_t r = 0; r < m; ++r) {
     const std::size_t b = basis[r];
-    const double cost = b < n ? problem.objective[b] : 0.0;
+    const double cost = b < n ? problem.costs[b] : 0.0;
     if (cost == 0.0) continue;
     for (std::size_t c = 0; c < total_cols; ++c) tableau.obj()[c] -= cost * tableau.at(r, c);
     tableau.obj_value() -= cost * tableau.rhs()[r];
   }
-  std::vector<std::uint8_t> allowed(total_cols, 1);
-  for (std::size_t c = 0; c < total_cols; ++c) {
-    if (is_artificial[c]) allowed[c] = 0;
-  }
   const auto outcome =
-      run_phase(tableau, basis, allowed, options, iterations, degenerate, result.bland_engaged);
+      run_phase(tableau, basis, first_artificial, options, iterations, degenerate);
   result.iterations = iterations;
-  result.degenerate_pivots = degenerate;
   switch (outcome) {
     case PhaseOutcome::IterationLimit:
       result.status = LpStatus::IterationLimit;

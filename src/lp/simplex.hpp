@@ -1,4 +1,4 @@
-// Dense two-phase primal simplex.
+// Dense two-phase primal simplex for the covering relaxation.
 //
 // LP-PathCover solves the LP relaxation of a weighted set cover: minimize
 // c^T x subject to "each discovered constraint path contains at least one
@@ -6,9 +6,9 @@
 // rows, hundreds of columns), so an exact dense tableau simplex is the
 // right tool — no external solver dependency.
 //
-// Canonical problem handled here:
+// The one problem handled here:
 //     minimize   c^T x
-//     subject to a_i^T x  (<= | == | >=)  b_i     for each row i
+//     subject to sum_{j in S_i} x_j >= 1     for each set S_i
 //                x >= 0
 // Phase 1 drives artificial variables out of the basis; phase 2 optimizes
 // the true objective.  Dantzig pricing with a Bland's-rule fallback after
@@ -23,36 +23,20 @@
 
 namespace mts {
 
-enum class Relation { LessEqual, Equal, GreaterEqual };
-
 /// Numerical = the solve terminated but produced a non-finite objective or
 /// solution vector (poisoned input, catastrophic cancellation); callers
 /// treat it like IterationLimit and fall back (see lp/covering.cpp).
 enum class LpStatus { Optimal, Infeasible, Unbounded, IterationLimit, Numerical };
 
-struct LpConstraint {
-  // Sparse row: parallel index/value arrays.
-  std::vector<std::size_t> indices;
-  std::vector<double> values;
-  Relation relation = Relation::GreaterEqual;
-  double rhs = 0.0;
-};
-
-struct LpProblem {
-  std::size_t num_vars = 0;
-  std::vector<double> objective;  // size num_vars; minimized
-  std::vector<LpConstraint> constraints;
-
-  /// Convenience: appends a constraint built from (index, value) pairs.
-  void add_constraint(std::vector<std::size_t> indices, std::vector<double> values,
-                      Relation relation, double rhs);
+struct CoveringProblem {
+  /// cost[j] of picking element j (an edge), > 0.
+  std::vector<double> costs;
+  /// sets[i] lists the element indices that cover constraint i (the
+  /// removable edges of path i).  Every set must be non-empty.
+  std::vector<std::vector<std::size_t>> sets;
 };
 
 struct LpOptions {
-  std::size_t max_iterations = 20000;
-  /// Switch from Dantzig to Bland pricing after this many degenerate pivots.
-  std::size_t bland_after_stalls = 64;
-  double tolerance = 1e-9;
   /// Validate the tableau (basis is a unit sub-matrix, RHS non-negative,
   /// basic reduced costs zero) after every pivot, throwing
   /// InvariantViolation on corruption.  Always treated as true in
@@ -66,23 +50,19 @@ struct LpOptions {
 struct LpResult {
   LpStatus status = LpStatus::Infeasible;
   double objective = 0.0;
-  std::vector<double> x;  // size num_vars when status == Optimal
+  std::vector<double> x;  // size costs.size() when status == Optimal
   std::size_t iterations = 0;
   /// Which simplex phase hit the iteration cap (0 = none, 1, or 2).  Lets
   /// fallback decisions and reports distinguish a phase-1 stall (couldn't
   /// even prove feasibility) from a phase-2 stall (feasible but unoptimized).
   int limit_phase = 0;
-  /// Zero-progress pivots across both phases.
-  std::size_t degenerate_pivots = 0;
-  /// True when stall detection switched pricing from Dantzig to Bland's
-  /// anti-cycling rule at any point during the solve.
-  bool bland_engaged = false;
 };
 
-/// Solves `problem`; never throws on solvable-but-degenerate input, throws
-/// PreconditionViolation on malformed input (index out of range, size
-/// mismatches).
-LpResult solve_lp(const LpProblem& problem, const LpOptions& options = {});
+/// Solves the LP relaxation of `problem`; never throws on
+/// solvable-but-degenerate input, throws PreconditionViolation when a set
+/// names an element index out of range.  An empty set makes the LP
+/// Infeasible, a negative cost makes it Unbounded.
+LpResult solve_lp(const CoveringProblem& problem, const LpOptions& options = {});
 
 /// Human-readable status name (for logs and tests).
 std::string to_string(LpStatus status);

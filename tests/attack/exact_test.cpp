@@ -5,6 +5,7 @@
 #include "attack/algorithms.hpp"
 #include "attack/verify.hpp"
 #include "graph/yen.hpp"
+#include "lp/covering.hpp"
 #include "test_util.hpp"
 
 namespace mts::attack {

@@ -275,20 +275,22 @@ TEST_F(CliTest, LoadgenRequireZeroDropsIsBoolean) {
 TEST_F(CliTest, RoutedRejectsMalformedOverloadKnobs) {
   // Each knob validates before the daemon binds a port, so a typo fails
   // fast instead of silently serving unprotected.
-  const std::pair<const char*, const char*> knobs[] = {
-      {"MTS_MAX_INFLIGHT", "MTS_MAX_INFLIGHT must be >= 0"},
-      {"MTS_MAX_QUEUE", "MTS_MAX_QUEUE must be >= 0"},
-      {"MTS_DEADLINE_MS", "MTS_DEADLINE_MS must be >= 0"},
-      {"MTS_WRITE_TIMEOUT_MS", "MTS_WRITE_TIMEOUT_MS must be >= 0"},
-  };
+  const char* knobs[] = {"MTS_MAX_INFLIGHT", "MTS_MAX_QUEUE", "MTS_DEADLINE_MS",
+                         "MTS_WRITE_TIMEOUT_MS"};
   // "-3" probes the sign check; "nope" and "250x" probe strict parsing —
-  // a garbage value must not fall back to 0 and serve unprotected.
+  // a garbage value must not fall back to 0 and serve unprotected.  Every
+  // rejection names the knob; the sign check also says what it expects,
+  // and the parse check quotes the value it could not read.
   for (const char* value : {"-3", "nope", "250x"}) {
-    for (const auto& [name, message] : knobs) {
+    const std::string expected =
+        std::string(value) == "-3" ? " must be >= 0" : std::string("'") + value + "'";
+    for (const char* name : knobs) {
       ASSERT_EQ(setenv(name, value, 1), 0);
       err_.str("");
       EXPECT_EQ(run({"routed", "--osm", osm_path_}), 1) << name << "=" << value;
-      EXPECT_NE(err_.str().find(message), std::string::npos)
+      EXPECT_NE(err_.str().find(name), std::string::npos)
+          << name << "=" << value << ": " << err_.str();
+      EXPECT_NE(err_.str().find(expected), std::string::npos)
           << name << "=" << value << ": " << err_.str();
       ASSERT_EQ(unsetenv(name), 0);
     }

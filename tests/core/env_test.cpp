@@ -21,16 +21,49 @@ TEST(Env, IntParsesValue) {
   unsetenv("MTS_TEST_INT");
 }
 
-TEST(Env, IntFallbackOnGarbage) {
-  setenv("MTS_TEST_INT", "not-a-number", 1);
+/// Expects `read()` to throw InvalidInput naming `name` and quoting `value`.
+template <typename Read>
+void expect_rejected(const char* name, const char* value, Read read) {
+  setenv(name, value, 1);
+  try {
+    read();
+    ADD_FAILURE() << "accepted " << name << "=" << value;
+  } catch (const InvalidInput& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(name), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("'") + value + "'"), std::string::npos) << what;
+  }
+  unsetenv(name);
+}
+
+// A malformed knob must be an error, never a silent fall-back to the
+// default: MTS_TRIALS=2O (letter O) used to run with 2 trials.
+TEST(Env, IntRejectsGarbage) {
+  for (const char* bad : {"not-a-number", "2O", "4x", "1.5", "99999999999999999999"}) {
+    expect_rejected("MTS_TEST_INT", bad, [] { return env_int("MTS_TEST_INT", 5); });
+  }
+}
+
+TEST(Env, EmptyMeansDefault) {
+  setenv("MTS_TEST_INT", "", 1);
   EXPECT_EQ(env_int("MTS_TEST_INT", 5), 5);
   unsetenv("MTS_TEST_INT");
+  setenv("MTS_TEST_DBL", "", 1);
+  EXPECT_DOUBLE_EQ(env_double("MTS_TEST_DBL", 1.5), 1.5);
+  unsetenv("MTS_TEST_DBL");
 }
 
 TEST(Env, DoubleParsesValue) {
   setenv("MTS_TEST_DBL", "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double("MTS_TEST_DBL", 0.0), 2.5);
   unsetenv("MTS_TEST_DBL");
+}
+
+// MTS_SCALE=O.2 (letter O) used to run scale 1 without a word.
+TEST(Env, DoubleRejectsGarbage) {
+  for (const char* bad : {"O.2", "0.2x", "half", "nan", "inf", "1e999"}) {
+    expect_rejected("MTS_TEST_DBL", bad, [] { return env_double("MTS_TEST_DBL", 1.0); });
+  }
 }
 
 // env_raw is the repo's single audited getenv entry point (the
@@ -114,6 +147,28 @@ TEST(Env, BenchEnvOverrides) {
   unsetenv("MTS_TRIALS");
   unsetenv("MTS_SEED");
   unsetenv("MTS_PATH_RANK");
+}
+
+TEST(Env, BenchEnvRejectsMistypedKnobs) {
+  const auto read = [] { return BenchEnv::from_environment(); };
+  expect_rejected("MTS_SCALE", "O.2", read);
+  expect_rejected("MTS_TRIALS", "2O", read);
+  expect_rejected("MTS_SEED", "11a", read);
+  expect_rejected("MTS_PATH_RANK", "hundred", read);
+}
+
+// MTS_TIMING=00 used to zero the tables' runtime columns while the run
+// header and the metrics JSON, read through timing_enabled(), reported
+// timing on with real seconds.  Only "0" and "1" are accepted now.
+TEST(Env, BenchEnvTimingAcceptsOnlyZeroOrOne) {
+  for (const char* bad : {"00", "off", "false", "2", " 0"}) {
+    expect_rejected("MTS_TIMING", bad, [] { return BenchEnv::from_environment(); });
+  }
+  for (const char* good : {"0", "1", ""}) {
+    setenv("MTS_TIMING", good, 1);
+    EXPECT_NO_THROW(BenchEnv::from_environment()) << "MTS_TIMING=" << good;
+  }
+  unsetenv("MTS_TIMING");
 }
 
 }  // namespace

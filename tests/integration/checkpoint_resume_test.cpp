@@ -29,7 +29,6 @@ RunConfig small_config() {
   config.trials = 3;
   config.path_rank = 10;
   config.seed = 11;
-  config.deterministic_timing = true;
   return config;
 }
 
@@ -170,6 +169,8 @@ class CheckpointResumeTest : public ::testing::Test {
     fault::FaultRegistry::instance().reset();
     set_num_threads(0);
   }
+
+  test::ScopedTimingOff timing_off_;  // resumed and clean bytes compare exactly
 };
 
 TEST_F(CheckpointResumeTest, FaultedRunPlusResumeIsByteIdenticalAtEveryThreadCount) {

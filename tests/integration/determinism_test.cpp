@@ -10,6 +10,7 @@
 #include "core/thread_pool.hpp"
 #include "exp/json_report.hpp"
 #include "exp/table_runner.hpp"
+#include "test_util.hpp"
 
 namespace mts::exp {
 namespace {
@@ -25,14 +26,14 @@ RunConfig small_config() {
   config.trials = 3;
   config.path_rank = 10;
   config.seed = 11;
-  // Wall-clock columns are inherently nondeterministic; zero them so the
-  // rendered bytes can be compared across thread counts.
-  config.deterministic_timing = true;
   return config;
 }
 
 /// Everything a table run emits, as one string: both renderings + JSON.
 std::string run_fingerprint(std::size_t threads) {
+  // Wall-clock columns are inherently nondeterministic; zero them so the
+  // rendered bytes can be compared across thread counts.
+  const test::ScopedTimingOff timing_off;
   set_num_threads(threads);
   const auto result = run_city_table(small_config());
   set_num_threads(0);

@@ -13,6 +13,7 @@
 #include "exp/json_report.hpp"
 #include "exp/table_runner.hpp"
 #include "obs/metrics.hpp"
+#include "test_util.hpp"
 
 namespace mts::exp {
 namespace {
@@ -27,7 +28,6 @@ RunConfig small_config() {
   config.trials = 3;
   config.path_rank = 10;
   config.seed = 11;
-  config.deterministic_timing = true;
   return config;
 }
 
@@ -63,6 +63,8 @@ class FaultMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::FaultRegistry::instance().reset(); }
   void TearDown() override { fault::FaultRegistry::instance().reset(); }
+
+  test::ScopedTimingOff timing_off_;  // reported seconds match the golden's zeros
 };
 
 TEST_F(FaultMatrixTest, DisarmedRegistryChangesNoOutputBytes) {

@@ -4,6 +4,7 @@
 // exactly one violated precondition to an otherwise-valid call.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <regex>
 #include <string>
 
@@ -155,19 +156,10 @@ TEST(Preconditions, Metrics) {
 }
 
 TEST(Preconditions, Simplex) {
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {1.0, 1.0};
-  expect_precondition([&] { lp.add_constraint({0, 1}, {1.0}, Relation::GreaterEqual, 1.0); },
-                      "size mismatch");
-
-  lp.add_constraint({0, 5}, {1.0, 1.0}, Relation::GreaterEqual, 1.0);
+  CoveringProblem lp;
+  lp.costs = {1.0, 1.0};
+  lp.sets = {{0, 5}};
   expect_precondition([&] { solve_lp(lp); }, "index out of range");
-
-  LpProblem bad_objective;
-  bad_objective.num_vars = 3;
-  bad_objective.objective = {1.0};
-  expect_precondition([&] { solve_lp(bad_objective); }, "objective size mismatch");
 }
 
 TEST(Preconditions, CoreUtilities) {
@@ -247,13 +239,46 @@ TEST(Preconditions, AttackAlgorithms) {
 
   auto negative_costs = fx.problem;
   auto costs = fx.costs;
-  costs[fx.problem.p_star.edges.front().value()] = -1.0;  // the checked subset
+  costs[fx.problem.p_star.edges.front().value()] = -1.0;  // p*'s edges are checked too
   negative_costs.costs = costs;
   expect_precondition(
       [&] { attack::run_attack(attack::Algorithm::GreedyEdge, negative_costs); },
       "negative cost");
 
   expect_precondition([&] { attack::run_exact_attack(null_graph); }, "null graph");
+}
+
+// Every edge's cost is checked, not only p*'s: a negative cost off p* let
+// GreedyEdge report a free "successful" cut, and a NaN cost a `nan` total.
+TEST(Preconditions, AttackCostsCheckedOnEveryEdge) {
+  AttackFixture fx;
+  std::vector<std::uint8_t> on_p_star(fx.wg.g.num_edges(), 0);
+  for (EdgeId e : fx.problem.p_star.edges) on_p_star[e.value()] = 1;
+  // A removable edge of the shortest path: the first cut every attack sees.
+  EdgeId target = EdgeId::invalid();
+  for (EdgeId e : fx.problem.seed_paths.front().edges) {
+    if (!on_p_star[e.value()]) {
+      target = e;
+      break;
+    }
+  }
+  ASSERT_TRUE(target.valid());
+  const std::string edge = "edge " + std::to_string(target.value()) + " has ";
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [bad, defect] : {std::pair{-1.0, "negative cost"},
+                                    std::pair{nan, "non-finite cost"},
+                                    std::pair{inf, "non-finite cost"}}) {
+    auto costs = fx.costs;
+    costs[target.value()] = bad;
+    auto problem = fx.problem;
+    problem.costs = costs;
+    for (attack::Algorithm algorithm : attack::kAllAlgorithms) {
+      expect_precondition([&] { attack::run_attack(algorithm, problem); }, edge + defect);
+    }
+    expect_precondition([&] { attack::run_exact_attack(problem); }, edge + defect);
+  }
 }
 
 TEST(Preconditions, AttackOracle) {

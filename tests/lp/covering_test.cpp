@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
+#include "test_util.hpp"
 
 namespace mts {
 namespace {
@@ -123,7 +124,7 @@ TEST(Covering, LpNearOptimalOnRandomInstances) {
     const double optimum = brute_force_optimum(problem);
 
     Rng round_rng(seed * 31);
-    const auto lp = solve_covering_lp(problem, round_rng, {});
+    const auto lp = solve_covering_lp(problem, round_rng);
     const auto greedy = solve_covering_greedy(problem);
     ASSERT_TRUE(lp.feasible);
     ASSERT_TRUE(greedy.feasible);
@@ -142,13 +143,13 @@ TEST(Covering, LpNearOptimalOnRandomInstances) {
 }
 
 TEST(Covering, LpIterationLimitFallsBackToGreedy) {
-  // A one-iteration LP cap cannot finish phase 1, so the solver degrades to
-  // the greedy cover and says so instead of failing the whole attack.
+  // An iteration limit forced after one pivot cannot finish phase 1, so the
+  // solver degrades to the greedy cover and says so instead of failing the
+  // whole attack.
   const auto problem = small_instance();
   Rng rng(1);
-  CoveringOptions options;
-  options.lp.max_iterations = 1;
-  const auto solution = solve_covering_lp(problem, rng, options);
+  const test::ScopedFault limit("lp.pivot", 2, fault::Action::Limit);
+  const auto solution = solve_covering_lp(problem, rng);
   ASSERT_TRUE(solution.feasible);
   EXPECT_TRUE(covers_everything(problem, solution.chosen));
   EXPECT_TRUE(solution.fallback_used);

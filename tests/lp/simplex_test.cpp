@@ -2,115 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "test_util.hpp"
 
 namespace mts {
 namespace {
 
 TEST(Simplex, TrivialLowerBoundedMin) {
-  // min x0 + x1 s.t. x0 + x1 >= 2, x >= 0  ->  objective 2.
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {1.0, 1.0};
-  lp.add_constraint({0, 1}, {1.0, 1.0}, Relation::GreaterEqual, 2.0);
+  // min 3x0 + 5x1 s.t. x0 + x1 >= 1, x >= 0  ->  x = (1, 0), objective 3.
+  CoveringProblem lp;
+  lp.costs = {3.0, 5.0};
+  lp.sets = {{0, 1}};
   const auto result = solve_lp(lp);
   ASSERT_EQ(result.status, LpStatus::Optimal);
-  EXPECT_NEAR(result.objective, 2.0, 1e-9);
-  EXPECT_NEAR(result.x[0] + result.x[1], 2.0, 1e-9);
-}
-
-TEST(Simplex, ClassicMaximizationAsMinimization) {
-  // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (objective 36 at (2,6)).
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {-3.0, -5.0};
-  lp.add_constraint({0}, {1.0}, Relation::LessEqual, 4.0);
-  lp.add_constraint({1}, {2.0}, Relation::LessEqual, 12.0);
-  lp.add_constraint({0, 1}, {3.0, 2.0}, Relation::LessEqual, 18.0);
-  const auto result = solve_lp(lp);
-  ASSERT_EQ(result.status, LpStatus::Optimal);
-  EXPECT_NEAR(result.objective, -36.0, 1e-9);
-  EXPECT_NEAR(result.x[0], 2.0, 1e-9);
-  EXPECT_NEAR(result.x[1], 6.0, 1e-9);
-}
-
-TEST(Simplex, EqualityConstraints) {
-  // min 2x + 3y s.t. x + y == 4, x - y == 2  ->  x=3, y=1, objective 9.
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {2.0, 3.0};
-  lp.add_constraint({0, 1}, {1.0, 1.0}, Relation::Equal, 4.0);
-  lp.add_constraint({0, 1}, {1.0, -1.0}, Relation::Equal, 2.0);
-  const auto result = solve_lp(lp);
-  ASSERT_EQ(result.status, LpStatus::Optimal);
-  EXPECT_NEAR(result.objective, 9.0, 1e-9);
-  EXPECT_NEAR(result.x[0], 3.0, 1e-9);
-  EXPECT_NEAR(result.x[1], 1.0, 1e-9);
+  EXPECT_NEAR(result.objective, 3.0, 1e-9);
+  EXPECT_NEAR(result.x[0], 1.0, 1e-9);
+  EXPECT_NEAR(result.x[1], 0.0, 1e-9);
 }
 
 TEST(Simplex, InfeasibleDetected) {
-  // x >= 3 and x <= 1 simultaneously.
-  LpProblem lp;
-  lp.num_vars = 1;
-  lp.objective = {1.0};
-  lp.add_constraint({0}, {1.0}, Relation::GreaterEqual, 3.0);
-  lp.add_constraint({0}, {1.0}, Relation::LessEqual, 1.0);
+  // An empty set is a row nothing can cover: sum over {} of x >= 1.
+  CoveringProblem lp;
+  lp.costs = {1.0};
+  lp.sets = {{0}, {}};
   EXPECT_EQ(solve_lp(lp).status, LpStatus::Infeasible);
 }
 
 TEST(Simplex, UnboundedDetected) {
   // min -x with only x >= 1.
-  LpProblem lp;
-  lp.num_vars = 1;
-  lp.objective = {-1.0};
-  lp.add_constraint({0}, {1.0}, Relation::GreaterEqual, 1.0);
+  CoveringProblem lp;
+  lp.costs = {-1.0};
+  lp.sets = {{0}};
   EXPECT_EQ(solve_lp(lp).status, LpStatus::Unbounded);
 }
 
-TEST(Simplex, NegativeRhsNormalized) {
-  // min x s.t. -x <= -5  (i.e. x >= 5).
-  LpProblem lp;
-  lp.num_vars = 1;
-  lp.objective = {1.0};
-  lp.add_constraint({0}, {-1.0}, Relation::LessEqual, -5.0);
-  const auto result = solve_lp(lp);
-  ASSERT_EQ(result.status, LpStatus::Optimal);
-  EXPECT_NEAR(result.x[0], 5.0, 1e-9);
-}
-
 TEST(Simplex, DegenerateProblemTerminates) {
-  // Redundant constraints stacked on the same vertex (classic degeneracy).
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {1.0, 1.0};
-  lp.add_constraint({0, 1}, {1.0, 1.0}, Relation::GreaterEqual, 1.0);
-  lp.add_constraint({0, 1}, {2.0, 2.0}, Relation::GreaterEqual, 2.0);
-  lp.add_constraint({0, 1}, {3.0, 3.0}, Relation::GreaterEqual, 3.0);
+  // The same covering row three times over: every vertex is degenerate.
+  CoveringProblem lp;
+  lp.costs = {1.0, 1.0};
+  lp.sets = {{0, 1}, {0, 1}, {0, 1}};
   const auto result = solve_lp(lp);
   ASSERT_EQ(result.status, LpStatus::Optimal);
   EXPECT_NEAR(result.objective, 1.0, 1e-9);
 }
 
 TEST(Simplex, RejectsBadIndices) {
-  LpProblem lp;
-  lp.num_vars = 1;
-  lp.objective = {1.0};
-  lp.add_constraint({3}, {1.0}, Relation::GreaterEqual, 1.0);
-  EXPECT_THROW(solve_lp(lp), PreconditionViolation);
-}
-
-TEST(Simplex, RejectsObjectiveSizeMismatch) {
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {1.0};
+  CoveringProblem lp;
+  lp.costs = {1.0};
+  lp.sets = {{3}};
   EXPECT_THROW(solve_lp(lp), PreconditionViolation);
 }
 
 TEST(Simplex, EmptyConstraintsOptimalAtZero) {
-  LpProblem lp;
-  lp.num_vars = 3;
-  lp.objective = {1.0, 2.0, 3.0};
+  CoveringProblem lp;
+  lp.costs = {1.0, 2.0, 3.0};
   const auto result = solve_lp(lp);
   ASSERT_EQ(result.status, LpStatus::Optimal);
   EXPECT_NEAR(result.objective, 0.0, 1e-12);
@@ -122,37 +75,27 @@ TEST(Simplex, SolutionSatisfiesAllConstraintsOnRandomCoveringLps) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
     const std::size_t n = 12;
-    LpProblem lp;
-    lp.num_vars = n;
-    for (std::size_t j = 0; j < n; ++j) lp.objective.push_back(rng.uniform(0.5, 3.0));
+    CoveringProblem lp;
+    for (std::size_t j = 0; j < n; ++j) lp.costs.push_back(rng.uniform(0.5, 3.0));
     const std::size_t rows = 6;
     for (std::size_t i = 0; i < rows; ++i) {
-      std::vector<std::size_t> indices;
-      std::vector<double> values;
+      std::vector<std::size_t> set;
       for (std::size_t j = 0; j < n; ++j) {
-        if (rng.chance(0.4)) {
-          indices.push_back(j);
-          values.push_back(1.0);
-        }
+        if (rng.chance(0.4)) set.push_back(j);
       }
-      if (indices.empty()) {
-        indices.push_back(rng.uniform_index(n));
-        values.push_back(1.0);
-      }
-      lp.add_constraint(std::move(indices), std::move(values), Relation::GreaterEqual, 1.0);
+      if (set.empty()) set.push_back(rng.uniform_index(n));
+      lp.sets.push_back(std::move(set));
     }
     const auto result = solve_lp(lp);
     ASSERT_EQ(result.status, LpStatus::Optimal) << "seed " << seed;
 
     double all_ones = 0.0;
-    for (double c : lp.objective) all_ones += c;
+    for (double c : lp.costs) all_ones += c;
     EXPECT_LE(result.objective, all_ones + 1e-9);
-    for (const auto& con : lp.constraints) {
+    for (const auto& set : lp.sets) {
       double lhs = 0.0;
-      for (std::size_t k = 0; k < con.indices.size(); ++k) {
-        lhs += con.values[k] * result.x[con.indices[k]];
-      }
-      EXPECT_GE(lhs, con.rhs - 1e-7) << "seed " << seed;
+      for (std::size_t j : set) lhs += result.x[j];
+      EXPECT_GE(lhs, 1.0 - 1e-7) << "seed " << seed;
     }
     for (double x : result.x) EXPECT_GE(x, -1e-9);
   }
@@ -165,24 +108,16 @@ TEST(Simplex, TableauInvariantsHoldAcrossRandomCoverLps) {
   Rng rng(4242);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 3 + rng.uniform_index(8);
-    LpProblem lp;
-    lp.num_vars = n;
-    for (std::size_t j = 0; j < n; ++j) lp.objective.push_back(rng.uniform(0.5, 3.0));
+    CoveringProblem lp;
+    for (std::size_t j = 0; j < n; ++j) lp.costs.push_back(rng.uniform(0.5, 3.0));
     const std::size_t rows = 2 + rng.uniform_index(6);
     for (std::size_t i = 0; i < rows; ++i) {
-      std::vector<std::size_t> indices;
-      std::vector<double> values;
+      std::vector<std::size_t> set;
       for (std::size_t j = 0; j < n; ++j) {
-        if (rng.chance(0.5)) {
-          indices.push_back(j);
-          values.push_back(1.0);
-        }
+        if (rng.chance(0.5)) set.push_back(j);
       }
-      if (indices.empty()) {
-        indices.push_back(rng.uniform_index(n));
-        values.push_back(1.0);
-      }
-      lp.add_constraint(std::move(indices), std::move(values), Relation::GreaterEqual, 1.0);
+      if (set.empty()) set.push_back(rng.uniform_index(n));
+      lp.sets.push_back(std::move(set));
     }
 
     LpOptions checked;
@@ -195,71 +130,121 @@ TEST(Simplex, TableauInvariantsHoldAcrossRandomCoverLps) {
   }
 }
 
-TEST(Simplex, TableauInvariantsHoldOnMixedRelations) {
-  LpOptions checked;
-  checked.check_invariants = true;
+/// Independent oracle: the minimum of c^T x over the vertices of
+/// {x : sum_{j in S_i} x_j >= 1, x >= 0}.  Every choice of n tight
+/// constraints among the m rows and the n bounds x_j >= 0 is solved by
+/// Gaussian elimination; nonsingular, feasible solutions are the vertices.
+/// With c >= 0 the region is pointed and the LP optimum is at one of them.
+double min_vertex_cost(const CoveringProblem& lp) {
+  const std::size_t n = lp.costs.size();
+  const std::size_t m = lp.sets.size();
+  // Constraint k < m is row k (a_k . x >= 1); k >= m is x_{k-m} >= 0.
+  std::vector<std::vector<double>> a(m + n, std::vector<double>(n, 0.0));
+  std::vector<double> b(m + n, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j : lp.sets[i]) a[i][j] += 1.0;
+    b[i] = 1.0;
+  }
+  for (std::size_t j = 0; j < n; ++j) a[m + j][j] = 1.0;
 
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {2.0, 3.0};
-  lp.add_constraint({0, 1}, {1.0, 1.0}, Relation::Equal, 4.0);
-  lp.add_constraint({0, 1}, {1.0, -1.0}, Relation::Equal, 2.0);
-  const auto result = solve_lp(lp, checked);
-  ASSERT_EQ(result.status, LpStatus::Optimal);
-  EXPECT_NEAR(result.objective, 9.0, 1e-9);
-
-  LpProblem negative_rhs;  // row flip path: -x <= -1  ==  x >= 1
-  negative_rhs.num_vars = 1;
-  negative_rhs.objective = {1.0};
-  negative_rhs.add_constraint({0}, {-1.0}, Relation::LessEqual, -1.0);
-  const auto flipped = solve_lp(negative_rhs, checked);
-  ASSERT_EQ(flipped.status, LpStatus::Optimal);
-  EXPECT_NEAR(flipped.objective, 1.0, 1e-9);
-
-  LpProblem infeasible;
-  infeasible.num_vars = 1;
-  infeasible.objective = {1.0};
-  infeasible.add_constraint({0}, {1.0}, Relation::LessEqual, 1.0);
-  infeasible.add_constraint({0}, {1.0}, Relation::GreaterEqual, 2.0);
-  EXPECT_EQ(solve_lp(infeasible, checked).status, LpStatus::Infeasible);
+  double best = std::numeric_limits<double>::infinity();
+  for (std::uint32_t mask = 0; mask < (1u << (m + n)); ++mask) {
+    if (static_cast<std::size_t>(std::popcount(mask)) != n) continue;
+    // Augmented n x (n+1) system of the chosen constraints held tight.
+    std::vector<std::vector<double>> sys;
+    for (std::size_t k = 0; k < m + n; ++k) {
+      if (!(mask & (1u << k))) continue;
+      sys.push_back(a[k]);
+      sys.back().push_back(b[k]);
+    }
+    bool singular = false;
+    for (std::size_t col = 0; col < n && !singular; ++col) {
+      std::size_t pivot = col;
+      for (std::size_t r = col + 1; r < n; ++r) {
+        if (std::abs(sys[r][col]) > std::abs(sys[pivot][col])) pivot = r;
+      }
+      if (std::abs(sys[pivot][col]) < 1e-12) {
+        singular = true;
+        break;
+      }
+      std::swap(sys[col], sys[pivot]);
+      for (std::size_t r = 0; r < n; ++r) {
+        if (r == col) continue;
+        const double factor = sys[r][col] / sys[col][col];
+        for (std::size_t c = col; c <= n; ++c) sys[r][c] -= factor * sys[col][c];
+      }
+    }
+    if (singular) continue;
+    std::vector<double> x(n);
+    for (std::size_t j = 0; j < n; ++j) x[j] = sys[j][n] / sys[j][j];
+    bool feasible = true;
+    for (std::size_t k = 0; k < m + n && feasible; ++k) {
+      double lhs = 0.0;
+      for (std::size_t j = 0; j < n; ++j) lhs += a[k][j] * x[j];
+      feasible = lhs >= b[k] - 1e-9;
+    }
+    if (!feasible) continue;
+    double cost = 0.0;
+    for (std::size_t j = 0; j < n; ++j) cost += lp.costs[j] * x[j];
+    best = std::min(best, cost);
+  }
+  return best;
 }
 
-/// Multi-row >= instance: phase 1 has several artificials to drive out, so
-/// a one-iteration cap cannot possibly finish feasibility.
-LpProblem covering_like_lp() {
-  LpProblem lp;
-  lp.num_vars = 4;
-  lp.objective = {2.0, 2.0, 1.5, 1.5};
-  lp.add_constraint({0, 2}, {1.0, 1.0}, Relation::GreaterEqual, 1.0);
-  lp.add_constraint({0, 1}, {1.0, 1.0}, Relation::GreaterEqual, 1.0);
-  lp.add_constraint({1, 3}, {1.0, 1.0}, Relation::GreaterEqual, 1.0);
+TEST(Simplex, MatchesBruteForceVertexEnumeration) {
+  Rng rng(2026);
+  constexpr int kInstances = 250;
+  for (int trial = 0; trial < kInstances; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(6);
+    const std::size_t m = 1 + rng.uniform_index(6);
+    // Half the instances use unit costs: the degenerate case, with many
+    // tied vertices, that the attacks' UNIFORM cost model poses.
+    const bool unit = trial % 2 == 0;
+    CoveringProblem lp;
+    for (std::size_t j = 0; j < n; ++j) lp.costs.push_back(unit ? 1.0 : rng.uniform(0.5, 3.0));
+    for (std::size_t i = 0; i < m; ++i) {
+      std::vector<std::size_t> set;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (rng.chance(0.4)) set.push_back(j);
+      }
+      if (set.empty()) set.push_back(rng.uniform_index(n));
+      lp.sets.push_back(std::move(set));
+    }
+    const auto result = solve_lp(lp);
+    ASSERT_EQ(result.status, LpStatus::Optimal) << "trial " << trial;
+    EXPECT_NEAR(result.objective, min_vertex_cost(lp), 1e-9) << "trial " << trial;
+  }
+}
+
+/// Multi-row instance: phase 1 has several artificials to drive out, so
+/// one pivot cannot possibly finish feasibility.
+CoveringProblem covering_like_lp() {
+  CoveringProblem lp;
+  lp.costs = {2.0, 2.0, 1.5, 1.5};
+  lp.sets = {{0, 2}, {0, 1}, {1, 3}};
   return lp;
 }
 
+// Iteration limits are forced by arming the `lp.pivot` fault point with
+// the `limit` action.  It counts one hit per pricing step: each pivot, plus
+// one optimality check at the end of each phase.
 TEST(Simplex, IterationLimitReportsPhaseOne) {
-  LpOptions options;
-  options.max_iterations = 1;
-  const auto result = solve_lp(covering_like_lp(), options);
+  const test::ScopedFault limit("lp.pivot", 2, fault::Action::Limit);
+  const auto result = solve_lp(covering_like_lp());
   ASSERT_EQ(result.status, LpStatus::IterationLimit);
   EXPECT_EQ(result.limit_phase, 1);
   EXPECT_EQ(result.iterations, 1u);
 }
 
 TEST(Simplex, IterationLimitReportsPhaseTwo) {
-  // All-<= rows with positive rhs need no artificials, so phase 1 is
-  // skipped entirely and the cap lands in phase 2.
-  LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {-3.0, -5.0};
-  lp.add_constraint({0}, {1.0}, Relation::LessEqual, 4.0);
-  lp.add_constraint({1}, {2.0}, Relation::LessEqual, 12.0);
-  lp.add_constraint({0, 1}, {3.0, 2.0}, Relation::LessEqual, 18.0);
-  LpOptions options;
-  options.max_iterations = 1;
-  const auto result = solve_lp(lp, options);
+  // Phase 1 of covering_like_lp takes kPhaseOnePivots pivots plus its
+  // optimality check, so the hit after those is phase 2's first.
+  constexpr std::size_t kPhaseOnePivots = 4;
+  const test::ScopedFault limit("lp.pivot", kPhaseOnePivots + 2, fault::Action::Limit);
+  const auto result = solve_lp(covering_like_lp());
   ASSERT_EQ(result.status, LpStatus::IterationLimit);
   EXPECT_EQ(result.limit_phase, 2);
-  EXPECT_EQ(result.iterations, 1u);
+  EXPECT_EQ(result.iterations, kPhaseOnePivots);
 }
 
 TEST(Simplex, WorkBudgetChargesPivotsAndThrows) {

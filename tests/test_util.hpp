@@ -12,7 +12,9 @@
 #include <system_error>
 #include <vector>
 
+#include "core/fault.hpp"
 #include "core/rng.hpp"
+#include "core/timer.hpp"
 #include "graph/digraph.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/edge_filter.hpp"
@@ -123,6 +125,29 @@ inline std::filesystem::path unique_temp_dir() {
   registry.dirs.push_back(dir);
   return dir;
 }
+
+/// Arms one fault point for the enclosing scope: `point` fires `action` on
+/// hit number `after`, and every point is disarmed again on exit.
+struct ScopedFault {
+  ScopedFault(const char* point, std::uint64_t after, fault::Action action) {
+    fault::FaultRegistry::instance().reset();
+    fault::FaultRegistry::instance().arm(point, after, action);
+  }
+  ~ScopedFault() { fault::FaultRegistry::instance().reset(); }
+  ScopedFault(const ScopedFault&) = delete;
+  ScopedFault& operator=(const ScopedFault&) = delete;
+};
+
+/// Zeroes every reported duration for the enclosing scope, as MTS_TIMING=0
+/// does, so table and JSON bytes compare exactly; restores the previous
+/// setting on exit.
+struct ScopedTimingOff {
+  ScopedTimingOff() : previous(timing_enabled()) { set_timing_enabled(false); }
+  ~ScopedTimingOff() { set_timing_enabled(previous); }
+  ScopedTimingOff(const ScopedTimingOff&) = delete;
+  ScopedTimingOff& operator=(const ScopedTimingOff&) = delete;
+  bool previous;
+};
 
 /// Brute-force enumeration of all simple s->t paths (for small graphs),
 /// sorted by length then lexicographically by edge ids.
