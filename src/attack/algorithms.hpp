@@ -9,7 +9,8 @@
 //                      path with the highest eigen-score-to-cost ratio
 //
 // All operate on directed graphs and arbitrary weight/cost models, as the
-// paper's adaptation of PATHATTACK requires.
+// paper's adaptation of PATHATTACK requires.  The two PathCover algorithms
+// run attack/path_cover.hpp's constraint-generation loop.
 #pragma once
 
 #include <cstdint>

@@ -13,16 +13,10 @@
 
 namespace mts::attack {
 
-struct ExactAttackResult {
-  AttackStatus status = AttackStatus::IterationLimit;
-  std::vector<EdgeId> removed_edges;
-  double total_cost = 0.0;
+struct ExactAttackResult : AttackResult {
   /// True when every branch-and-bound solve finished within its node cap,
   /// making `total_cost` a certified global optimum.
   bool proven_optimal = false;
-  std::size_t oracle_calls = 0;
-  std::size_t iterations = 0;
-  double seconds = 0.0;
 };
 
 /// Solves `problem` to certified optimality (budget, protected-edge and

@@ -6,8 +6,9 @@
 // chosen path p*_i the exclusive shortest path for its (s_i, d_i) pair.
 // Closures may never touch ANY victim's chosen path, so the instances
 // genuinely interact: a cut that helps victim A can be forbidden because
-// it lies on victim B's route.  Solved by the GreedyPathCover machinery
-// over the union of all victims' constraint paths.
+// it lies on victim B's route.  Solved by GreedyPathCover's constraint
+// generation (attack/path_cover.hpp) with one oracle per victim, over the
+// union of all victims' constraint paths.
 #pragma once
 
 #include "attack/algorithms.hpp"
@@ -29,13 +30,7 @@ struct MultiVictimProblem {
   double budget = std::numeric_limits<double>::infinity();
 };
 
-struct MultiVictimResult {
-  AttackStatus status = AttackStatus::IterationLimit;
-  std::vector<EdgeId> removed_edges;
-  double total_cost = 0.0;
-  std::size_t oracle_calls = 0;
-  std::size_t iterations = 0;
-  double seconds = 0.0;
+struct MultiVictimResult : AttackResult {
   /// Victims whose p* is certified exclusively shortest under the cut
   /// (all of them on Success).
   std::vector<std::uint8_t> victim_forced;
@@ -43,7 +38,8 @@ struct MultiVictimResult {
 
 /// Finds one closure set forcing every victim at once.  Infeasible when
 /// some victim has a faster-or-tied path consisting entirely of protected
-/// edges (other victims' routes).
+/// edges (other victims' routes).  Throws PreconditionViolation when any
+/// edge's cost is negative or not finite, as run_attack does.
 MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem);
 
 }  // namespace mts::attack

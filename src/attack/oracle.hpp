@@ -36,6 +36,7 @@ class ExclusivityOracle {
   /// nullopt when p* is certified exclusively shortest.
   [[nodiscard]] std::optional<Path> find_violating_path(const EdgeFilter& filter) const;
 
+  [[nodiscard]] const ForcePathCutProblem& problem() const { return problem_; }
   [[nodiscard]] std::size_t calls() const { return calls_; }
   [[nodiscard]] double p_star_length() const { return p_star_length_; }
 

@@ -61,9 +61,9 @@ struct ForcePathCutProblem {
 /// Checked once by every attack entry point: each edge's removal cost must
 /// be finite and >= 0.  An edge the attacker may not remove belongs in
 /// `protected_edges`, not behind an infinite cost.
-inline void require_valid_costs(const ForcePathCutProblem& problem, const std::string& caller) {
-  for (std::size_t e = 0; e < problem.costs.size(); ++e) {
-    const double cost = problem.costs[e];
+inline void require_valid_costs(std::span<const double> costs, const std::string& caller) {
+  for (std::size_t e = 0; e < costs.size(); ++e) {
+    const double cost = costs[e];
     if (std::isfinite(cost) && cost >= 0.0) continue;
     require(false, caller + ": edge " + std::to_string(e) + " has " +
                        (std::isfinite(cost) ? "negative" : "non-finite") + " cost " +

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 
 namespace mts::exp {
 
@@ -112,29 +113,6 @@ std::string format_record(const CellRecord& record) {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 std::string json_unescape(const std::string& escaped) {
   std::string out;

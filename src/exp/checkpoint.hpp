@@ -40,11 +40,8 @@ struct CellRecord {
   double total_cost = 0.0;
 };
 
-/// Escapes a string for embedding in a JSON string literal (backslash,
-/// quote, and control characters).
-std::string json_escape(const std::string& raw);
-
-/// Inverse of json_escape (also accepts \uXXXX for ASCII code points).
+/// Inverse of json_escape (core/json.hpp; also accepts \uXXXX for ASCII
+/// code points).
 std::string json_unescape(const std::string& escaped);
 
 class CheckpointJournal {

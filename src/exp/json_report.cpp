@@ -2,13 +2,13 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/env.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "exp/checkpoint.hpp"
@@ -19,16 +19,10 @@ namespace mts::exp {
 
 namespace {
 
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
 void append_stats(std::ostringstream& out, const char* name, const RunningStats& stats) {
-  out << '"' << name << "\":{\"mean\":" << number(stats.mean())
-      << ",\"stddev\":" << number(stats.stddev()) << ",\"min\":" << number(stats.min())
-      << ",\"max\":" << number(stats.max()) << ",\"n\":" << stats.count() << '}';
+  out << '"' << name << "\":{\"mean\":" << json_number(stats.mean())
+      << ",\"stddev\":" << json_number(stats.stddev()) << ",\"min\":" << json_number(stats.min())
+      << ",\"max\":" << json_number(stats.max()) << ",\"n\":" << stats.count() << '}';
 }
 
 }  // namespace
@@ -37,14 +31,14 @@ std::string to_json(const CityTableResult& result) {
   std::ostringstream out;
   out << "{\"config\":{\"city\":\"" << citygen::to_string(result.config.city)
       << "\",\"weight\":\"" << attack::to_string(result.config.weight)
-      << "\",\"scale\":" << number(result.config.scale)
+      << "\",\"scale\":" << json_number(result.config.scale)
       << ",\"trials\":" << result.config.trials
       << ",\"path_rank\":" << result.config.path_rank << ",\"seed\":" << result.config.seed
       << "},\"network\":{\"nodes\":" << result.metrics.num_nodes
       << ",\"edges\":" << result.metrics.num_edges
-      << ",\"average_degree\":" << number(result.metrics.average_degree)
-      << ",\"orientation_order\":" << number(result.metrics.orientation_order)
-      << ",\"four_way_share\":" << number(result.metrics.four_way_share)
+      << ",\"average_degree\":" << json_number(result.metrics.average_degree)
+      << ",\"orientation_order\":" << json_number(result.metrics.orientation_order)
+      << ",\"four_way_share\":" << json_number(result.metrics.four_way_share)
       << "},\"scenarios_run\":" << result.scenarios_run << ",\"cells\":[";
 
   bool first = true;

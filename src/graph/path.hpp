@@ -38,8 +38,9 @@ std::vector<NodeId> path_nodes(const DiGraph& g, const Path& path);
 /// Validates edge connectivity, endpoints, and node-simplicity.
 bool is_simple_path(const DiGraph& g, const Path& path, NodeId source, NodeId target);
 
-/// Order-independent 64-bit signature of the edge sequence, for candidate
-/// de-duplication in Yen's algorithm.
+/// 64-bit FNV-1a signature of the edge sequence, in order (the same edges
+/// in another order hash differently), for de-duplicating Yen candidates
+/// and attack constraint paths.
 std::uint64_t path_signature(const Path& path);
 
 }  // namespace mts

@@ -243,24 +243,15 @@ std::optional<LpResult> branch_lp(const CoveringProblem& problem, const BranchSt
 
 }  // namespace
 
-ExactCoverSolution solve_covering_exact(const CoveringProblem& problem) {
-  ExactCoverSolution solution;
-  for (const auto& set : problem.sets) {
-    if (set.empty()) return solution;
-  }
-  const std::size_t n = problem.costs.size();
+CoveringSolution solve_covering_exact(const CoveringProblem& problem) {
+  // Incumbent from the greedy heuristic (same feasibility semantics).
+  CoveringSolution solution = solve_covering_greedy(problem);
+  if (!solution.feasible) return solution;
   if (problem.sets.empty()) {
-    solution.feasible = true;
     solution.proven_optimal = true;
     return solution;
   }
-
-  // Incumbent from the greedy heuristic.
-  const CoveringSolution greedy = solve_covering_greedy(problem);
-  require(greedy.feasible, "exact cover: greedy unexpectedly infeasible");
-  solution.feasible = true;
-  solution.chosen = greedy.chosen;
-  solution.cost = greedy.cost;
+  const std::size_t n = problem.costs.size();
 
   constexpr double kEps = 1e-7;
   bool exhausted_cleanly = true;

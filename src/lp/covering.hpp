@@ -31,6 +31,9 @@ struct CoveringSolution {
   /// Human-readable reason when fallback_used ("lp iteration-limit
   /// (phase 2, 20000 iterations)", "lp numerical", ...).
   std::string fallback_reason;
+  /// solve_covering_exact only: the branch and bound finished within its
+  /// node cap, so `cost` is the minimum.
+  bool proven_optimal = false;
 };
 
 /// Solves the LP relaxation of `problem` and rounds to an integral cover.
@@ -44,18 +47,11 @@ CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
 /// used by GreedyPathCover.  Same feasibility semantics.
 CoveringSolution solve_covering_greedy(const CoveringProblem& problem);
 
-struct ExactCoverSolution {
-  bool feasible = false;
-  bool proven_optimal = false;
-  std::vector<std::size_t> chosen;
-  double cost = 0.0;
-};
-
 /// Exact minimum-cost cover by LP-based branch and bound (branch on the
 /// most fractional element; LP relaxation bounds; greedy incumbent).
 /// Intended for constraint-generation subproblems (tens of sets), where
 /// it certifies global optimality of the Force Path Cut solution.  Past a
 /// fixed node cap it returns the incumbent with `proven_optimal = false`.
-ExactCoverSolution solve_covering_exact(const CoveringProblem& problem);
+CoveringSolution solve_covering_exact(const CoveringProblem& problem);
 
 }  // namespace mts

@@ -1,44 +1,11 @@
 #include "obs/slowlog.hpp"
 
-#include <cstdio>
 #include <filesystem>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 
 namespace mts::obs {
-
-namespace {
-
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 SlowQueryLog::SlowQueryLog(const std::string& path) : path_(path) {
   const std::filesystem::path p(path);
@@ -51,7 +18,7 @@ SlowQueryLog::SlowQueryLog(const std::string& path) : path_(path) {
 void SlowQueryLog::append(const SlowLogEntry& entry) {
   std::string line = "{\"verb\":\"" + json_escape(entry.verb) + "\"";
   line += ",\"id\":" + std::to_string(entry.id);
-  line += ",\"latency_ms\":" + number(entry.latency_s * 1e3);
+  line += ",\"latency_ms\":" + json_number(entry.latency_s * 1e3);
   for (const auto& [key, value] : entry.fields) {
     line += ",\"" + json_escape(key) + "\":" + std::to_string(value);
   }

@@ -1,46 +1,15 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 
 namespace mts::obs {
 
 namespace {
-
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-/// Phase names are C identifiers with dots/slashes in this codebase, but
-/// escape defensively so the emitted JSON is valid for any name.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void open_for_write(std::ofstream& out, const std::string& path) {
   const std::filesystem::path p(path);
@@ -71,8 +40,8 @@ void write_metrics_json(const MetricsSnapshot& snapshot, const RunInfo& run, std
     if (!first) out << ',';
     first = false;
     out << '"' << json_escape(hist.name) << "\":{\"count\":" << hist.count
-        << ",\"sum\":" << number(hist.sum) << ",\"min\":" << number(hist.min)
-        << ",\"max\":" << number(hist.max) << ",\"buckets\":[";
+        << ",\"sum\":" << json_number(hist.sum) << ",\"min\":" << json_number(hist.min)
+        << ",\"max\":" << json_number(hist.max) << ",\"buckets\":[";
     // Sparse bucket encoding: [index, count] pairs for nonzero buckets.
     bool first_bucket = true;
     for (std::size_t b = 0; b < hist.buckets.size(); ++b) {
@@ -91,7 +60,7 @@ void write_metrics_json(const MetricsSnapshot& snapshot, const RunInfo& run, std
     if (!first) out << ',';
     first = false;
     out << "{\"path\":\"" << json_escape(phase.path) << "\",\"count\":" << phase.count
-        << ",\"seconds\":" << number(phase.seconds) << '}';
+        << ",\"seconds\":" << json_number(phase.seconds) << '}';
   }
   out << "]";
 
@@ -105,8 +74,8 @@ void write_chrome_trace(const std::vector<TraceEvent>& events, std::ostream& out
     if (!first) out << ',';
     first = false;
     out << "{\"name\":\"" << json_escape(event.name) << "\",\"cat\":\"" << json_escape(event.cat)
-        << "\",\"ph\":\"X\",\"ts\":" << number(event.ts_s * 1e6)
-        << ",\"dur\":" << number(event.dur_s * 1e6) << ",\"pid\":1,\"tid\":" << event.tid;
+        << "\",\"ph\":\"X\",\"ts\":" << json_number(event.ts_s * 1e6)
+        << ",\"dur\":" << json_number(event.dur_s * 1e6) << ",\"pid\":1,\"tid\":" << event.tid;
     // The args object appears only when annotations exist, so traces from
     // arg-free runs are byte-identical to the pre-span format.
     if (!event.args.empty()) {

@@ -6,31 +6,9 @@
 #include <sstream>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 
 namespace mts::viz {
-
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char ch : raw) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 namespace {
 

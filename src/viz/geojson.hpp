@@ -36,7 +36,4 @@ void save_attack_geojson(const std::string& path, const osm::RoadNetwork& networ
                          const Path& p_star, const std::vector<EdgeId>& removed_edges,
                          NodeId source, NodeId target, const GeoJsonOptions& options = {});
 
-/// Escapes a string for embedding in a JSON string literal.
-std::string json_escape(const std::string& raw);
-
 }  // namespace mts::viz

@@ -147,6 +147,46 @@ TEST(MultiVictim, BudgetExceededReported) {
   EXPECT_EQ(result.status, AttackStatus::BudgetExceeded);
 }
 
+TEST(MultiVictim, RepeatedVictimGetsTheSingleVictimCut) {
+  // s->x->a->t (3) and s->x->b->t (3.4) both beat p* = s->t (10).  One cut
+  // edge s->x (cost 1.5) covers both; one edge per arm costs 2.  A victim
+  // listed twice reports each violating path twice in one round, and the
+  // second report must not buy an extra edge.
+  test::WeightedGraph wg;
+  const NodeId s = wg.g.add_node();
+  const NodeId x = wg.g.add_node();
+  const NodeId a = wg.g.add_node();
+  const NodeId b = wg.g.add_node();
+  const NodeId t = wg.g.add_node();
+  const EdgeId sx = wg.edge(s, x, 1.0);
+  wg.edge(x, a, 1.0);
+  wg.edge(a, t, 1.0);
+  wg.edge(x, b, 1.2);
+  wg.edge(b, t, 1.2);
+  const EdgeId st = wg.edge(s, t, 10.0);
+  wg.g.finalize();
+  std::vector<double> costs(wg.g.num_edges(), 1.0);
+  costs[sx.value()] = 1.5;
+
+  MultiVictimProblem problem;
+  problem.graph = &wg.g;
+  problem.weights = wg.weights;
+  problem.costs = costs;
+  const Victim victim{s, t, Path{{st}, 10.0}, {}};
+  problem.victims = {victim};
+  const auto once = run_multi_victim_attack(problem);
+  ASSERT_EQ(once.status, AttackStatus::Success) << to_string(once.status);
+  EXPECT_EQ(once.removed_edges, std::vector<EdgeId>{sx});
+  EXPECT_DOUBLE_EQ(once.total_cost, 1.5);
+
+  problem.victims = {victim, victim};
+  const auto twice = run_multi_victim_attack(problem);
+  ASSERT_EQ(twice.status, AttackStatus::Success) << to_string(twice.status);
+  EXPECT_EQ(twice.removed_edges, once.removed_edges);
+  EXPECT_DOUBLE_EQ(twice.total_cost, 1.5);
+  expect_all_forced(problem, twice);
+}
+
 TEST(MultiVictim, RejectsEmptyAndMismatched) {
   Diamond d;
   MultiVictimProblem problem;

@@ -278,6 +278,12 @@ TEST(Preconditions, AttackCostsCheckedOnEveryEdge) {
       expect_precondition([&] { attack::run_attack(algorithm, problem); }, edge + defect);
     }
     expect_precondition([&] { attack::run_exact_attack(problem); }, edge + defect);
+    attack::MultiVictimProblem multi;
+    multi.graph = problem.graph;
+    multi.weights = problem.weights;
+    multi.costs = problem.costs;
+    multi.victims.push_back({problem.source, problem.target, problem.p_star, problem.seed_paths});
+    expect_precondition([&] { attack::run_multi_victim_attack(multi); }, edge + defect);
   }
 }
 

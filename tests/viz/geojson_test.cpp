@@ -39,13 +39,6 @@ void expect_balanced(const std::string& json) {
   EXPECT_FALSE(in_string);
 }
 
-TEST(GeoJson, EscapesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(GeoJson, ContainsRolesAndBalances) {
   const auto& net = network();
   const NodeId s = net.intersection_nodes().front();

@@ -3,8 +3,9 @@
 
 Runs the table02 bench at a small, seed-pinned configuration with
 MTS_METRICS=1 and compares the *work counters* the pipeline emits
-(dijkstra relaxation effort, CH serving effort, LP pivots, Yen pruning)
-against a checked-in baseline (BENCH_PR17.json).  These counters are
+(dijkstra relaxation effort, CH serving effort, LP pivots, Yen pruning,
+constraint-generation rounds) against a checked-in baseline
+(BENCH_PR18.json).  These counters are
 exact functions of the input — bit-identical across machines and thread
 counts — so the comparison tolerance is zero: any drift means the
 algorithms did different work, which is either an intended change
@@ -32,7 +33,7 @@ Wired into ctest as `bench_gate` (root CMakeLists.txt) and run by the
 dev leg of ci.sh plus the hosted bench CI job.  Usage:
 
   python3 tools/bench_compare.py --bench build/bench/table02_boston_length \
-      --baseline BENCH_PR17.json [--write-baseline] [--report BASE]
+      --baseline BENCH_PR18.json [--write-baseline] [--report BASE]
 
 Standalone zero-gate mode (no bench run, no baseline): assert that the
 named counters are zero in an already-written metrics JSON.  Used by the
@@ -88,6 +89,10 @@ GATED_COUNTERS = [
     "lp.degenerate_pivots",
     "lp.phase1_solves",
     "yen.spurs_pruned",
+    "attack.rounds",
+    "attack.oracle_calls",
+    "attack.constraints_generated",
+    "attack.edges_removed",
 ]
 
 # Reported next to the gate for context, never compared.  ch.queries and
@@ -202,7 +207,7 @@ def main() -> int:
     parser.add_argument("--bench", type=Path, default=None,
                         help="path to the table02 bench binary")
     parser.add_argument("--baseline", type=Path, default=None,
-                        help="checked-in baseline JSON (BENCH_PR17.json)")
+                        help="checked-in baseline JSON (BENCH_PR18.json)")
     parser.add_argument("--assert-zero", type=str, default=None, metavar="NAMES",
                         help="comma-separated counters that must be zero in "
                              "--metrics-json; skips the bench/baseline flow")
