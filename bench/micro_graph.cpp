@@ -118,8 +118,10 @@ BENCHMARK_CAPTURE(BM_DijkstraFullSssp, boston, citygen::City::Boston);
 BENCHMARK_CAPTURE(BM_DijkstraFullSssp, chicago, citygen::City::Chicago);
 BENCHMARK_CAPTURE(BM_DijkstraEarlyExit, boston, citygen::City::Boston);
 BENCHMARK_CAPTURE(BM_DijkstraEarlyExit, chicago, citygen::City::Chicago);
-BENCHMARK_CAPTURE(BM_YenKsp, boston, citygen::City::Boston)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_YenKsp, chicago, citygen::City::Chicago)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_YenKsp, boston, citygen::City::Boston)
+    ->Arg(10)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_YenKsp, chicago, citygen::City::Chicago)
+    ->Arg(10)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EigenvectorCentrality, chicago, citygen::City::Chicago);
 BENCHMARK_CAPTURE(BM_EdgeBetweennessSampled, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ChBuild, chicago, citygen::City::Chicago)->Unit(benchmark::kMillisecond);

@@ -183,7 +183,7 @@ for preset in "${PRESETS[@]}"; do
     # Standalone counter-regression leg (hosted CI runs it as its own
     # matrix job): dev-preset build of the table02 bench, then the
     # bench_gate ctest entry, which replays the seed-pinned workload and
-    # compares every gated work counter against BENCH_PR18.json.  The
+    # compares every gated work counter against BENCH_PR19.json.  The
     # comparison report + raw metrics land in build-dev/bench_report* for
     # artifact upload on failure.
     echo "==== [bench] configure (dev preset) ===="
@@ -192,7 +192,7 @@ for preset in "${PRESETS[@]}"; do
     echo "==== [bench] build ===="
     cmake --build --preset dev -j "$JOBS" --target table02_boston_length
 
-    echo "==== [bench] bench_gate (counters vs BENCH_PR18.json) ===="
+    echo "==== [bench] bench_gate (counters vs BENCH_PR19.json) ===="
     ctest --preset dev -R '^bench_gate$' --output-on-failure
     continue
   fi
@@ -293,7 +293,7 @@ for preset in "${PRESETS[@]}"; do
 
     # Deterministic work-counter regression gate: a small MTS_METRICS=1
     # bench run whose dijkstra/ch/lp/yen/attack counters must match
-    # BENCH_PR18.json exactly (tools/bench_compare.py; wall-clock is
+    # BENCH_PR19.json exactly (tools/bench_compare.py; wall-clock is
     # reported, never gated).
     echo "==== [$preset] bench_gate (counter regression) ===="
     ctest --preset "$preset" -R '^bench_gate$' --output-on-failure

@@ -71,11 +71,13 @@ std::optional<Path> ExclusivityOracle::find_violating_path(const EdgeFilter& fil
   const double eps = tie_epsilon();
 
   // Nan corrupts the query's result below (caught by the consistency
-  // require); Limit has no native emulation here and escalates to Throw.
+  // require); Limit has no native emulation here and escalates to Throw;
+  // Stall sleeps and then answers as usual.
   const fault::Action injected = MTS_FAULT_ACTION("oracle.solve");
   if (injected == fault::Action::Throw || injected == fault::Action::Limit) {
     fault::throw_injected("oracle.solve", injected);
   }
+  if (injected == fault::Action::Stall) fault::stall();
 
   // Goal-directed query: reverse_tree_'s unfiltered distances stay
   // admissible under any filter, and no violating path is ever longer than

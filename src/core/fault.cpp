@@ -1,6 +1,8 @@
 #include "core/fault.hpp"
 
+#include <chrono>
 #include <cstdlib>
+#include <thread>
 
 #include "core/env.hpp"
 #include "core/mutex.hpp"
@@ -174,6 +176,8 @@ void throw_injected(const char* name, Action action) {
   throw FaultInjected(std::string("fault injected at ") + name + " (action " +
                       to_string(action) + ")");
 }
+
+void stall() { std::this_thread::sleep_for(std::chrono::milliseconds(kStallMillis)); }
 
 namespace detail {
 

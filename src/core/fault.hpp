@@ -130,6 +130,10 @@ class FaultRegistry {
 /// macro below stays small at every site.
 [[noreturn]] void throw_injected(const char* name, Action action);
 
+/// What a value site does on Action::Stall: sleeps kStallMillis, then the
+/// site carries on with its normal work.
+void stall();
+
 }  // namespace mts::fault
 
 /// Value site: evaluates to the Action fired at this hit (Action::None on the

@@ -36,30 +36,29 @@ bool candidate_after(const Candidate& a, const Candidate& b) {
 class CandidateHeap {
  public:
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Length of the current shortest candidate.
-  [[nodiscard]] double min_length() const {
-    MTS_DCHECK(!heap_.empty());
-    return heap_.front().path.length;
+  /// Starts keeping the n-th smallest candidate length as
+  /// nth_smallest_length() (n = 0 keeps none): a max-heap of the n smallest
+  /// lengths held, which push() maintains, so the bound costs O(log n) per
+  /// push instead of a scan per read.  pop() ends the tracking.
+  void track_nth_smallest(std::size_t n) {
+    nth_ = n;
+    smallest_.clear();
+    for (const Candidate& c : heap_) offer(c.path.length);
   }
 
-  /// Length of the n-th smallest candidate currently held (n >= 1).  The
+  /// The tracked n-th smallest candidate length, or kInfiniteDistance
+  /// while fewer than n candidates are held (or nothing is tracked).  The
   /// next n accepted paths each pop the then-minimum while at least
   /// n - (pops so far) of the current n smallest are still in the heap, so
   /// every one of those pops is <= this value — an exact admission bound.
-  [[nodiscard]] double nth_smallest_length(std::size_t n) {
-    MTS_DCHECK_GE(n, std::size_t{1});
-    MTS_DCHECK_LE(n, heap_.size());
-    if (n == 1) return min_length();
-    length_scratch_.clear();
-    for (const Candidate& c : heap_) length_scratch_.push_back(c.path.length);
-    auto nth = length_scratch_.begin() + static_cast<std::ptrdiff_t>(n - 1);
-    std::nth_element(length_scratch_.begin(), nth, length_scratch_.end());
-    return *nth;
+  [[nodiscard]] double nth_smallest_length() const {
+    if (nth_ == 0 || smallest_.size() < nth_) return kInfiniteDistance;
+    return smallest_.front();
   }
 
   void push(Candidate candidate) {
+    offer(candidate.path.length);
     heap_.push_back(std::move(candidate));
     std::push_heap(heap_.begin(), heap_.end(), candidate_after);
     ++pushed_;
@@ -68,6 +67,7 @@ class CandidateHeap {
   /// Removes and returns the shortest (tie-broken) candidate's path.
   Path pop() {
     MTS_DCHECK(!heap_.empty());
+    nth_ = 0;
     std::pop_heap(heap_.begin(), heap_.end(), candidate_after);
     Path path = std::move(heap_.back().path);
     heap_.pop_back();
@@ -79,8 +79,22 @@ class CandidateHeap {
   [[nodiscard]] std::uint64_t popped() const { return popped_; }
 
  private:
+  /// Adds one length to the tracked n smallest (a max-heap of <= nth_).
+  void offer(double length) {
+    if (nth_ == 0) return;
+    if (smallest_.size() < nth_) {
+      smallest_.push_back(length);
+      std::push_heap(smallest_.begin(), smallest_.end());
+    } else if (length < smallest_.front()) {
+      std::pop_heap(smallest_.begin(), smallest_.end());
+      smallest_.back() = length;
+      std::push_heap(smallest_.begin(), smallest_.end());
+    }
+  }
+
   std::vector<Candidate> heap_;
-  std::vector<double> length_scratch_;  // nth_smallest_length working set
+  std::size_t nth_ = 0;            // tracked rank (0 = none)
+  std::vector<double> smallest_;   // max-heap of the nth_ smallest lengths
   std::uint64_t pushed_ = 0;
   std::uint64_t popped_ = 0;
 };
@@ -126,6 +140,18 @@ class SpurSearcher {
               std::unordered_set<std::uint64_t>& seen, std::size_t needed) {
     const std::vector<NodeId> base_nodes = path_nodes(g_, base);
     double root_length = 0.0;
+    candidates.track_nth_smallest(needed);
+    // shared_root_[a]: the last position i at which accepted[a] shares
+    // base's first i edges and still has an i-th edge of its own, i.e. the
+    // deviations whose spur must not take accepted[a]'s next edge are
+    // exactly i <= shared_root_[a].  Accepted paths are non-empty.
+    shared_root_.clear();
+    for (const Path& p : accepted) {
+      const auto common =
+          std::mismatch(base.edges.begin(), base.edges.end(), p.edges.begin(), p.edges.end());
+      const auto prefix = static_cast<std::size_t>(common.first - base.edges.begin());
+      shared_root_.push_back(std::min(prefix, p.edges.size() - 1));
+    }
 
     for (std::size_t i = 0; i < base.edges.size(); ++i) {
       const NodeId spur_node = base_nodes[i];
@@ -138,10 +164,7 @@ class SpurSearcher {
       // Admission bound: once the heap already holds `needed` candidates,
       // every future accepted path is at most the bound below, so any spur
       // whose best possible total exceeds it cannot change the output.
-      double admit = kInfiniteDistance;
-      if (needed > 0 && candidates.size() >= needed) {
-        admit = candidates.nth_smallest_length(needed);
-      }
+      const double admit = candidates.nth_smallest_length();
       // Fast path: skip the search entirely when even the ban-free reverse
       // distance busts the bound.  For a base that was itself accepted this
       // can only fire on margin edge cases (root + bound <= len(base) <=
@@ -157,14 +180,12 @@ class SpurSearcher {
 
       // Ban the next edge of every accepted path sharing this root prefix.
       std::vector<EdgeId> banned_edges;
-      for (const Path& p : accepted) {
-        if (p.edges.size() > i &&
-            std::equal(base.edges.begin(), base.edges.begin() + static_cast<std::ptrdiff_t>(i),
-                       p.edges.begin())) {
-          if (!scratch_filter_.is_removed(p.edges[i])) {
-            scratch_filter_.remove(p.edges[i]);
-            banned_edges.push_back(p.edges[i]);
-          }
+      for (std::size_t a = 0; a < accepted.size(); ++a) {
+        if (shared_root_[a] < i) continue;
+        const EdgeId next = accepted[a].edges[i];
+        if (!scratch_filter_.is_removed(next)) {
+          scratch_filter_.remove(next);
+          banned_edges.push_back(next);
         }
       }
       // Ban root nodes (all prefix nodes strictly before the spur node) so
@@ -228,6 +249,7 @@ class SpurSearcher {
   SearchSpace& workspace_;
   EdgeFilter scratch_filter_;
   std::vector<std::uint8_t> banned_nodes_;
+  std::vector<std::size_t> shared_root_;  // per accepted path, see expand()
   WorkBudget* budget_ = nullptr;
   RequestTrace* trace_ = nullptr;
   std::size_t searches_ = 0;

@@ -77,23 +77,32 @@ class Tableau {
     }
   }
 
-  /// Gauss-Jordan pivot on (pr, pc), including objective row.
+  /// Gauss-Jordan pivot on (pr, pc), including objective row.  Only the
+  /// pivot row's nonzero columns are updated elsewhere: a skipped update
+  /// would compute x - factor * 0, which is x except that a -0.0 would
+  /// become +0.0, and no pricing step, ratio test or solution reads the
+  /// sign of a zero.  So the pivot sequence matches a dense update's.
   void pivot(std::size_t pr, std::size_t pc) {
-    const double pivot_value = at(pr, pc);
-    const double inv = 1.0 / pivot_value;
-    for (std::size_t c = 0; c < cols_; ++c) at(pr, c) *= inv;
+    const double inv = 1.0 / at(pr, pc);
+    double* const pivot_row = &data_[pr * cols_];
+    pivot_nonzeros_.clear();
+    for (std::size_t c = 0; c < cols_; ++c) {
+      pivot_row[c] *= inv;
+      if (pivot_row[c] != 0.0) pivot_nonzeros_.push_back(c);
+    }
     rhs_[pr] *= inv;
     for (std::size_t r = 0; r < rows_; ++r) {
       if (r == pr) continue;
-      const double factor = at(r, pc);
+      double* const row = &data_[r * cols_];
+      const double factor = row[pc];
       if (factor == 0.0) continue;
-      for (std::size_t c = 0; c < cols_; ++c) at(r, c) -= factor * at(pr, c);
-      at(r, pc) = 0.0;  // cancel rounding residue exactly
+      for (const std::size_t c : pivot_nonzeros_) row[c] -= factor * pivot_row[c];
+      row[pc] = 0.0;  // cancel rounding residue exactly
       rhs_[r] -= factor * rhs_[pr];
     }
     const double obj_factor = obj_[pc];
     if (obj_factor != 0.0) {
-      for (std::size_t c = 0; c < cols_; ++c) obj_[c] -= obj_factor * at(pr, c);
+      for (const std::size_t c : pivot_nonzeros_) obj_[c] -= obj_factor * pivot_row[c];
       obj_[pc] = 0.0;
       obj_value_ -= obj_factor * rhs_[pr];
     }
@@ -106,6 +115,7 @@ class Tableau {
   std::vector<double> obj_;
   std::vector<double> rhs_;
   double obj_value_ = 0.0;
+  std::vector<std::size_t> pivot_nonzeros_;  // pivot()'s reused column list
 };
 
 enum class PhaseOutcome { Optimal, Unbounded, IterationLimit };
@@ -144,6 +154,9 @@ PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis, std::size_t 
         break;
       case fault::Action::Limit:
         return PhaseOutcome::IterationLimit;
+      case fault::Action::Stall:
+        fault::stall();
+        break;
       case fault::Action::None:
         break;
     }

@@ -1,9 +1,7 @@
 #include "net/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,7 +62,7 @@ Response QueryEngine::handle(const Request& request, RequestTrace* trace,
       case fault::Action::None:
         break;
       case fault::Action::Stall:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault::kStallMillis));
+        fault::stall();
         break;
       default:
         fault::throw_injected("routed.request", action);

@@ -1,6 +1,5 @@
 #include "net/server.hpp"
 
-#include <chrono>
 #include <exception>
 #include <string_view>
 #include <utility>
@@ -235,7 +234,7 @@ void RoutedServer::writer_loop(const std::shared_ptr<Connection>& connection) {
       case fault::Action::Stall:
         // Emulates a peer that stops draining: the response still goes out
         // after the stall, but everything queued behind it backs up.
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault::kStallMillis));
+        fault::stall();
         break;
       case fault::Action::None:
         break;

@@ -17,17 +17,8 @@ namespace mts::obs {
 namespace detail {
 
 bool env_flag(const char* name) {
-  // Cached per name: the obs knobs are read at most twice (metrics, trace)
-  // and never change mid-process except through the programmatic overrides.
-  static Mutex mutex;
-  static std::map<std::string, bool> cache;
-  MutexLock lock(mutex);
-  const auto it = cache.find(name);
-  if (it != cache.end()) return it->second;
   const char* raw = env_raw(name);
-  const bool on = raw != nullptr && *raw != '\0' && !(raw[0] == '0' && raw[1] == '\0');
-  cache.emplace(name, on);
-  return on;
+  return raw != nullptr && *raw != '\0' && !(raw[0] == '0' && raw[1] == '\0');
 }
 
 }  // namespace detail

@@ -35,6 +35,9 @@ namespace detail {
 /// -1 = decide from the environment on first query; 0/1 = forced.
 inline std::atomic<int> g_metrics_override{-1};
 inline std::atomic<int> g_trace_override{-1};
+/// True when `name` is set to anything but "" or "0".  Uncached: the
+/// gates below keep its answer in function-local statics, so the
+/// environment is read once per process and a gate never locks.
 bool env_flag(const char* name);
 }  // namespace detail
 
@@ -43,14 +46,16 @@ bool env_flag(const char* name);
 inline bool metrics_enabled() {
   const int forced = detail::g_metrics_override.load(std::memory_order_relaxed);
   if (forced >= 0) return forced != 0;
-  return detail::env_flag("MTS_METRICS") || detail::env_flag("MTS_TRACE");
+  static const bool from_env = detail::env_flag("MTS_METRICS") || detail::env_flag("MTS_TRACE");
+  return from_env;
 }
 
 /// True when phase scopes additionally emit Chrome trace events.
 inline bool trace_enabled() {
   const int forced = detail::g_trace_override.load(std::memory_order_relaxed);
   if (forced >= 0) return forced != 0;
-  return detail::env_flag("MTS_TRACE");
+  static const bool from_env = detail::env_flag("MTS_TRACE");
+  return from_env;
 }
 
 /// Programmatic overrides (tests, CLI --trace).  Overrides win over the

@@ -70,6 +70,27 @@ TEST(Oracle, DetectsEqualLengthTie) {
   EXPECT_FALSE(oracle.find_violating_path(filter).has_value());
 }
 
+// `stall` at `oracle.solve` sleeps fault::kStallMillis, then the query
+// answers exactly as if nothing were armed.
+TEST(Oracle, StallFaultSleepsThenAnswersUnchanged) {
+  Diamond d;
+  const auto problem = diamond_problem(d, Path{{d.st}, 4.0});
+  const EdgeFilter filter(d.wg.g.num_edges());
+  const auto unarmed = ExclusivityOracle(problem).find_violating_path(filter);
+  ASSERT_TRUE(unarmed.has_value());
+
+  const test::ScopedMetrics metrics;
+  const test::ScopedFault stall("oracle.solve", 1, fault::Action::Stall);
+  const ExclusivityOracle oracle(problem);
+  const Stopwatch clock;
+  const auto stalled = oracle.find_violating_path(filter);
+  EXPECT_GE(clock.seconds() * 1000.0, fault::kStallMillis);
+  ASSERT_TRUE(stalled.has_value());
+  EXPECT_EQ(stalled->edges, unarmed->edges);
+  EXPECT_EQ(stalled->length, unarmed->length);
+  EXPECT_EQ(metrics.counter("fault.injected"), 1u);
+}
+
 TEST(Oracle, PStarLengthComputedFromWeights) {
   Diamond d;
   const auto problem = diamond_problem(d, Path{{d.st}, 0.0 /* stale length */});

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/error.hpp"
+#include "core/request_trace.hpp"
 #include "test_util.hpp"
 
 namespace mts {
@@ -77,6 +78,40 @@ TEST(Yen, MatchesBruteForceEnumeration) {
           << "seed " << seed << " rank " << i;
     }
   }
+}
+
+// Deep ranks against brute force.  Continuous random weights make every
+// path length distinct, so the rank order is unique and Yen must return
+// the enumeration's first 100 paths edge for edge.  With more than 150
+// simple paths on offer, the admission bound engages (spurs are pruned).
+TEST(Yen, FirstHundredPathsMatchBruteForceEdgeForEdge) {
+  constexpr std::size_t kRank = 100;
+  std::uint64_t pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    auto wg = test::make_random_graph(12, 42, rng);
+    const NodeId s(0);
+    const NodeId t(11);
+    const auto expected = test::enumerate_simple_paths(wg.g, wg.weights, s, t);
+    ASSERT_GT(expected.size(), 150u) << "seed " << seed;
+
+    RequestTrace trace;
+    YenOptions options;
+    options.trace = &trace;
+    const auto actual = yen_ksp(wg.g, wg.weights, s, t, kRank, options);
+    ASSERT_EQ(actual.size(), kRank) << "seed " << seed;
+    for (std::size_t i = 0; i < kRank; ++i) {
+      EXPECT_EQ(actual[i].edges, expected[i].edges) << "seed " << seed << " rank " << i + 1;
+      EXPECT_NEAR(actual[i].length, expected[i].length, 1e-9)
+          << "seed " << seed << " rank " << i + 1;
+    }
+    pruned += trace.spurs_pruned;
+
+    const auto second = second_shortest_path(wg.g, wg.weights, s, t, actual[0]);
+    ASSERT_TRUE(second.has_value()) << "seed " << seed;
+    EXPECT_EQ(second->edges, expected[1].edges) << "seed " << seed;
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST(Yen, GridHasManyEqualLengthPaths) {

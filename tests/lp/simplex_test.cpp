@@ -247,6 +247,22 @@ TEST(Simplex, IterationLimitReportsPhaseTwo) {
   EXPECT_EQ(result.iterations, kPhaseOnePivots);
 }
 
+// `stall` at `lp.pivot` sleeps fault::kStallMillis, then the solve goes on
+// exactly as if nothing were armed.
+TEST(Simplex, StallFaultSleepsThenSolvesUnchanged) {
+  const auto unarmed = solve_lp(covering_like_lp());
+  const test::ScopedMetrics metrics;
+  const test::ScopedFault stall("lp.pivot", 1, fault::Action::Stall);
+  const Stopwatch clock;
+  const auto stalled = solve_lp(covering_like_lp());
+  EXPECT_GE(clock.seconds() * 1000.0, fault::kStallMillis);
+  EXPECT_EQ(stalled.status, unarmed.status);
+  EXPECT_EQ(stalled.objective, unarmed.objective);
+  EXPECT_EQ(stalled.x, unarmed.x);
+  EXPECT_EQ(stalled.iterations, unarmed.iterations);
+  EXPECT_EQ(metrics.counter("fault.injected"), 1u);
+}
+
 TEST(Simplex, WorkBudgetChargesPivotsAndThrows) {
   WorkBudget budget;
   budget.max_lp_pivots = 2;

@@ -165,6 +165,47 @@ TEST_F(MetricsTest, ConcurrentRecordingSumsExactly) {
   EXPECT_DOUBLE_EQ(hist->sum, static_cast<double>(kThreads * kIterations));
 }
 
+// With no override set, the gates answer from the environment, which they
+// read once per process into function-local statics and then never lock.
+// Threads that reach the gate at the same time, first read included, must
+// agree with each other and with the recording they do; under TSan (the
+// ci.sh ConcurrentRecording filter) this loop is the race proof.
+TEST_F(MetricsTest, ConcurrentRecordingThroughTheEnvironmentGate) {
+  auto& registry = MetricsRegistry::instance();
+  const CounterId id = registry.counter("test.env_gate_counter");
+  detail::g_metrics_override.store(-1);
+  detail::g_trace_override.store(-1);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kIterations = 10000;
+  std::vector<std::uint8_t> metrics_on(kThreads, 0);
+  std::vector<std::uint8_t> disagreed(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      metrics_on[t] = metrics_enabled() ? 1 : 0;
+      const bool trace_on = trace_enabled();
+      for (std::uint64_t i = 0; i < kIterations; ++i) {
+        if (metrics_enabled() != (metrics_on[t] != 0) || trace_enabled() != trace_on) {
+          disagreed[t] = 1;
+        }
+        add(id);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(disagreed[t], 0) << "thread " << t;
+    EXPECT_EQ(metrics_on[t], metrics_on[0]) << "thread " << t;
+  }
+  const auto snap = registry.snapshot();
+  const auto* counter = find_counter(snap, "test.env_gate_counter");
+  const std::uint64_t recorded = counter == nullptr ? 0 : counter->value;
+  EXPECT_EQ(recorded, metrics_on[0] != 0 ? kThreads * kIterations : 0);
+}
+
 // Regression for a race surfaced by the thread-safety annotations:
 // seconds_since_epoch() used to read the registry epoch without the lock
 // while reset() rewrote it, so a concurrent reset could hand out a torn

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <span>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "graph/dijkstra.hpp"
 #include "graph/edge_filter.hpp"
 #include "graph/path.hpp"
+#include "obs/metrics.hpp"
 
 namespace mts::test {
 
@@ -136,6 +139,29 @@ struct ScopedFault {
   ~ScopedFault() { fault::FaultRegistry::instance().reset(); }
   ScopedFault(const ScopedFault&) = delete;
   ScopedFault& operator=(const ScopedFault&) = delete;
+};
+
+/// Records metrics into a zeroed registry for the enclosing scope, then
+/// zeroes it again and turns recording off on exit.
+struct ScopedMetrics {
+  ScopedMetrics() {
+    obs::set_metrics_enabled(true);
+    obs::MetricsRegistry::instance().reset();
+  }
+  ~ScopedMetrics() {
+    obs::MetricsRegistry::instance().reset();
+    obs::set_metrics_enabled(false);
+  }
+  ScopedMetrics(const ScopedMetrics&) = delete;
+  ScopedMetrics& operator=(const ScopedMetrics&) = delete;
+
+  /// The counter's value so far (0 when it never registered).
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    for (const auto& c : obs::MetricsRegistry::instance().snapshot().counters) {
+      if (c.name == name) return c.value;
+    }
+    return 0;
+  }
 };
 
 /// Zeroes every reported duration for the enclosing scope, as MTS_TIMING=0

@@ -5,7 +5,7 @@ Runs the table02 bench at a small, seed-pinned configuration with
 MTS_METRICS=1 and compares the *work counters* the pipeline emits
 (dijkstra relaxation effort, CH serving effort, LP pivots, Yen pruning,
 constraint-generation rounds) against a checked-in baseline
-(BENCH_PR18.json).  These counters are
+(BENCH_PR19.json).  These counters are
 exact functions of the input — bit-identical across machines and thread
 counts — so the comparison tolerance is zero: any drift means the
 algorithms did different work, which is either an intended change
@@ -33,7 +33,11 @@ Wired into ctest as `bench_gate` (root CMakeLists.txt) and run by the
 dev leg of ci.sh plus the hosted bench CI job.  Usage:
 
   python3 tools/bench_compare.py --bench build/bench/table02_boston_length \
-      --baseline BENCH_PR18.json [--write-baseline] [--report BASE]
+      --baseline BENCH_PR19.json [--write-baseline] [--report BASE]
+
+--write-baseline rewrites the counter blocks (_comment, bench, env,
+counters) and keeps every other block already in the file, such as the
+perfbench trajectory a speed change records next to its counters.
 
 Standalone zero-gate mode (no bench run, no baseline): assert that the
 named counters are zero in an already-written metrics JSON.  Used by the
@@ -89,6 +93,8 @@ GATED_COUNTERS = [
     "lp.degenerate_pivots",
     "lp.phase1_solves",
     "yen.spurs_pruned",
+    "yen.spur_searches",
+    "yen.candidates_pushed",
     "attack.rounds",
     "attack.oracle_calls",
     "attack.constraints_generated",
@@ -106,8 +112,6 @@ INFORMATIONAL_COUNTERS = [
     "ch.phast_runs",
     "ch.sweep_relaxations",
     "ch.table_queries",
-    "yen.spur_searches",
-    "yen.candidates_pushed",
 ]
 
 
@@ -207,7 +211,7 @@ def main() -> int:
     parser.add_argument("--bench", type=Path, default=None,
                         help="path to the table02 bench binary")
     parser.add_argument("--baseline", type=Path, default=None,
-                        help="checked-in baseline JSON (BENCH_PR18.json)")
+                        help="checked-in baseline JSON (BENCH_PR19.json)")
     parser.add_argument("--assert-zero", type=str, default=None, metavar="NAMES",
                         help="comma-separated counters that must be zero in "
                              "--metrics-json; skips the bench/baseline flow")
@@ -247,14 +251,20 @@ def main() -> int:
             REPORT.emit(f"info  {name} = {counters[name]}")
 
     if args.write_baseline:
-        baseline = {
+        baseline = {}
+        if args.baseline.is_file():
+            try:
+                baseline = json.loads(args.baseline.read_text())
+            except json.JSONDecodeError as err:
+                fail(f"{args.baseline} is not valid JSON: {err}", report_base=args.report)
+        baseline.update({
             "_comment": "Deterministic work-counter baseline for tools/bench_compare.py.  "
                         "Regenerate with --write-baseline after an intentional "
                         "algorithmic change.",
             "bench": "table02_boston_length",
             "env": BENCH_ENV,
             "counters": current,
-        }
+        })
         args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
         REPORT.emit(f"baseline updated: {args.baseline}")
         if args.report is not None:
