@@ -108,15 +108,42 @@ routed_smoke() {
     return 1
   fi
 
-  # A caller that armed MTS_SLOWLOG alongside a fault point expects the
-  # injected failures in the slow-query log, tagged with the fault taxonomy.
-  local arg slowlog_armed=""
+  # A caller that armed a fault point (and the slow-query log, where
+  # errors always land) expects the injected failures in the log, tagged
+  # with the fault taxonomy.
+  local arg slowlog_armed="" faults_armed=""
   for arg in "$@"; do
-    case "$arg" in MTS_SLOWLOG=*) slowlog_armed=1 ;; esac
+    case "$arg" in
+      MTS_SLOWLOG=*) slowlog_armed=1 ;;
+      MTS_FAULTS=*) faults_armed=1 ;;
+    esac
   done
-  if [ -n "$slowlog_armed" ] && ! grep -q 'fault-injected' "$dir/slow.jsonl"; then
+  if [ -n "$faults_armed" ] && ! grep -q 'fault-injected' "$dir/slow.jsonl"; then
     echo "ci: armed slow-query log has no fault-injected record" >&2
     return 1
+  fi
+
+  # Without faults, an armed slow-query log checks the work meter on live
+  # traffic: every line carries the request budget's eight work counts,
+  # routes run no Dijkstra, the rankings run spur searches, and tables
+  # settle CH nodes.  The dev leg sets a threshold every request crosses.
+  if [ -n "$slowlog_armed" ] && [ -z "$faults_armed" ]; then
+    python3 - "$dir/slow.jsonl" <<'PY' || { echo "ci: slow-query log work check failed" >&2; return 1; }
+import json, sys
+keys = ("dijkstra_runs", "nodes_settled", "edges_scanned", "spur_searches",
+        "spurs_pruned", "oracle_calls", "ch_queries", "ch_nodes_settled")
+lines = [json.loads(line) for line in open(sys.argv[1])]
+assert lines, "empty slow-query log"
+for line in lines:
+    missing = [k for k in keys if k not in line]
+    assert not missing, f"line {line['id']} lacks {missing}"
+by_verb = lambda verbs: [l for l in lines if l["verb"] in verbs]
+assert by_verb({"route"}), "no route lines"
+assert all(l["dijkstra_runs"] == 0 for l in by_verb({"route"})), "a route ran Dijkstra"
+assert sum(l["spur_searches"] for l in by_verb({"kalt", "attack"})) > 0, "no spur searches"
+assert sum(l["ch_nodes_settled"] for l in by_verb({"table"})) > 0, "tables settled nothing"
+print(f"ci: slow-query log work check ok ({len(lines)} lines)")
+PY
   fi
 
   # With no overload knob set, the overload machinery must be provably
@@ -299,9 +326,11 @@ for preset in "${PRESETS[@]}"; do
     ctest --preset "$preset" -R '^bench_gate$' --output-on-failure
 
     # Service smoke: routed + loadgen end to end over the four request
-    # mixes, then the SIGTERM drain contract (see routed_smoke above).
+    # mixes, then the SIGTERM drain contract (see routed_smoke above).  A
+    # 1 µs slow-query threshold logs every request, so the smoke also
+    # checks each request's work counts.
     echo "==== [$preset] routed/loadgen smoke ===="
-    routed_smoke "$preset"
+    routed_smoke "$preset" MTS_SLOWLOG=0.001
 
     # Overload chaos: armed knobs + mid-load fault injection; the
     # retrying client must terminate with zero drops and the daemon must

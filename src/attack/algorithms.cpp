@@ -109,13 +109,9 @@ AttackResult run_attack(Algorithm algorithm, const ForcePathCutProblem& problem,
 
   obs::ScopedPhase phase("attack");
   Stopwatch stopwatch;
-  // The per-attack budget copy is what gets charged; a caller's all-zero
-  // (unlimited) budget stays off the hot path as a null pointer.
-  WorkBudget budget = options.work_budget;
-  WorkBudget* budget_ptr = budget.limited() ? &budget : nullptr;
   AttackResult result;
   try {
-    const ExclusivityOracle oracle(problem, budget_ptr, options.trace);
+    const ExclusivityOracle oracle(problem, options.budget);
     switch (algorithm) {
       case Algorithm::GreedyEdge: result = run_greedy_edge(oracle); break;
       case Algorithm::GreedyEig: result = run_greedy_eig(oracle); break;
@@ -125,7 +121,7 @@ AttackResult run_attack(Algorithm algorithm, const ForcePathCutProblem& problem,
       case Algorithm::LpPathCover: {
         Rng rng(options.rng_seed);
         const auto solve = [&](const CoveringProblem& covering) {
-          return solve_covering_lp(covering, rng, budget_ptr);
+          return solve_covering_lp(covering, rng, options.budget);
         };
         result = run_path_cover({&oracle, 1}, solve).attack;
         break;

@@ -17,7 +17,6 @@
 
 #include "attack/problem.hpp"
 #include "core/budget.hpp"
-#include "core/request_trace.hpp"
 
 namespace mts::attack {
 
@@ -32,13 +31,11 @@ inline constexpr Algorithm kAllAlgorithms[] = {Algorithm::LpPathCover,
 struct AttackOptions {
   /// Seed for LP randomized rounding.
   std::uint64_t rng_seed = 1;
-  /// Deterministic work caps for the whole attack (all-zero = unlimited).
-  /// run_attack() copies this, threads the copy through oracle/yen/simplex,
-  /// and converts an exhausted budget into AttackStatus::BudgetExhausted.
-  WorkBudget work_budget;
-  /// Per-request work accounting threaded alongside the budget (nullptr =
-  /// none; core/request_trace.hpp).  Purely observational.
-  RequestTrace* trace = nullptr;
+  /// The caller's work meter (nullptr = uncapped and uncounted): every
+  /// search of the attack charges it, and run_attack() converts an
+  /// exhausted cap into AttackStatus::BudgetExhausted.  Must outlive the
+  /// call.
+  WorkBudget* budget = nullptr;
 };
 
 /// Runs `algorithm` on `problem`.  The returned removal set never touches

@@ -33,9 +33,8 @@ struct OracleCounters {
 
 }  // namespace
 
-ExclusivityOracle::ExclusivityOracle(const ForcePathCutProblem& problem, WorkBudget* budget,
-                                     RequestTrace* trace)
-    : problem_(problem), budget_(budget), trace_(trace) {
+ExclusivityOracle::ExclusivityOracle(const ForcePathCutProblem& problem, WorkBudget* budget)
+    : problem_(problem), budget_(budget) {
   require(problem.graph != nullptr, "oracle: null graph");
   require(is_simple_path(*problem.graph, problem.p_star, problem.source, problem.target),
           "oracle: p* is not a simple source->target path");
@@ -53,7 +52,6 @@ ExclusivityOracle::ExclusivityOracle(const ForcePathCutProblem& problem, WorkBud
   DijkstraOptions reverse_options;
   reverse_options.assume_valid_weights = true;
   reverse_options.budget = budget_;
-  reverse_options.trace = trace_;
   reverse_dijkstra(reverse_tree_, *problem.graph, problem_.weights, problem_.target,
                    reverse_options);
 }
@@ -64,7 +62,7 @@ double ExclusivityOracle::tie_epsilon() const {
 
 std::optional<Path> ExclusivityOracle::find_violating_path(const EdgeFilter& filter) const {
   ++calls_;
-  if (trace_ != nullptr) ++trace_->oracle_calls;
+  if (budget_ != nullptr) ++budget_->oracle_calls;
   obs::ScopedPhase phase("oracle");
   obs::add(OracleCounters::get().calls);
   const auto& g = *problem_.graph;
@@ -90,7 +88,6 @@ std::optional<Path> ExclusivityOracle::find_violating_path(const EdgeFilter& fil
   options.prune_bound = p_star_length_;
   options.assume_valid_weights = true;
   options.budget = budget_;
-  options.trace = trace_;
   SearchSpace& ws = thread_search_space();
   dijkstra(ws, g, problem_.weights, problem_.source, options);
   auto sp = extract_path(g, ws, problem_.source, problem_.target);
@@ -116,28 +113,31 @@ std::optional<Path> ExclusivityOracle::find_violating_path(const EdgeFilter& fil
     return sp;  // tied but different
   }
 
-  // Dijkstra returned p* itself; certify no *other* path ties it.  The
+  // Dijkstra returned p* itself; certify no *other* path ties it: the
+  // runner-up is rank 2 of a Yen ranking that starts at p*.  The
   // certification's reverse bounds must hold under THIS filter, so
   // reverse_tree_ cannot serve them.  With ChAssets the CCH re-customizes
   // to the mask and its masked PHAST replaces the full reverse Dijkstra
-  // the plain call would run.  The certified path is identical either way
+  // yen_ksp would run.  The certified path is identical either way
   // (YenOptions::reverse_bounds).
   obs::add(OracleCounters::get().ties);
-  const SearchSpace* certification_bounds = nullptr;
+  YenOptions certification;
+  certification.filter = &filter;
+  certification.budget = budget_;
+  certification.first_path = &problem_.p_star;
   if (problem_.ch != nullptr) {
     if (cch_ == nullptr) {
       cch_ = std::make_unique<CchMetric>(problem_.ch->cch, problem_.weights);
     }
     cch_->recustomize(&filter);
-    cch_->bounds_to_target(problem_.target, cch_bounds_, trace_);
-    certification_bounds = &cch_bounds_;
+    cch_->bounds_to_target(problem_.target, cch_bounds_, budget_);
+    certification.reverse_bounds = &cch_bounds_;
   }
-  auto second = second_shortest_path(g, problem_.weights, problem_.source, problem_.target,
-                                     problem_.p_star, &filter, budget_, trace_,
-                                     certification_bounds);
-  if (second && second->length <= p_star_length_ + eps) {
+  auto ranked =
+      yen_ksp(g, problem_.weights, problem_.source, problem_.target, 2, certification);
+  if (ranked.size() == 2 && ranked[1].length <= p_star_length_ + eps) {
     obs::add(OracleCounters::get().violations);
-    return second;
+    return std::move(ranked[1]);
   }
   obs::add(OracleCounters::get().exclusive);
   return std::nullopt;

@@ -4,7 +4,8 @@
 // All four attack algorithms are driven by this constraint-generation
 // query.  A violating path is any simple s→d path different from p* whose
 // length is <= len(p*) (within floating tolerance).  Ties are certified
-// with an exact second-shortest-path search rather than assumed away.
+// with an exact second-shortest-path search (yen_ksp with k = 2) rather
+// than assumed away.
 #pragma once
 
 #include <memory>
@@ -12,7 +13,6 @@
 
 #include "attack/problem.hpp"
 #include "core/budget.hpp"
-#include "core/request_trace.hpp"
 #include "graph/cch.hpp"
 #include "graph/edge_filter.hpp"
 #include "graph/search_space.hpp"
@@ -23,14 +23,12 @@ using mts::EdgeFilter;
 
 class ExclusivityOracle {
  public:
-  /// `problem` must outlive the oracle (as must `budget` and `trace` when
-  /// non-null).  Throws PreconditionViolation if p* is not a simple s→d
-  /// path or touches a non-positive-length check.  `budget` caps the
-  /// deterministic work of every query this oracle runs (core/budget.hpp;
-  /// nullptr = unlimited); `trace` receives per-request work accounting
-  /// for the same queries (core/request_trace.hpp; nullptr = none).
-  explicit ExclusivityOracle(const ForcePathCutProblem& problem, WorkBudget* budget = nullptr,
-                             RequestTrace* trace = nullptr);
+  /// `problem` must outlive the oracle (as must `budget` when non-null).
+  /// Throws PreconditionViolation if p* is not a simple s→d path or
+  /// touches a non-positive-length check.  `budget` caps and counts the
+  /// work of every query this oracle runs, one oracle call per query
+  /// (core/budget.hpp; nullptr = uncapped and uncounted).
+  explicit ExclusivityOracle(const ForcePathCutProblem& problem, WorkBudget* budget = nullptr);
 
   /// A path that still violates p*'s exclusivity under `filter`, or
   /// nullopt when p* is certified exclusively shortest.
@@ -60,7 +58,6 @@ class ExclusivityOracle {
   mutable std::unique_ptr<CchMetric> cch_;
   mutable SearchSpace cch_bounds_;
   WorkBudget* budget_ = nullptr;
-  RequestTrace* trace_ = nullptr;
   mutable std::size_t calls_ = 0;
 };
 

@@ -1,13 +1,18 @@
-// Cooperative deterministic work budgets (plus opt-in serving deadlines).
+// The work meter: one object per search task that both caps its work and
+// counts it.
 //
 // Wall-clock deadlines make runs machine-dependent; the harness instead caps
-// the exact work counters the pipeline already tracks (Dijkstra edge
-// relaxations, simplex pivots, Yen spur searches).  A WorkBudget is owned by
-// one attack task, threaded by pointer through dijkstra/yen/simplex/oracle,
-// and charged at coarse checkpoints (once per settled node / pivot / spur).
-// Exceeding any cap throws BudgetExhausted, which run_attack() converts into
-// a structured AttackStatus::BudgetExhausted — the same outcome on every
-// machine and thread count (DESIGN.md §10).
+// the exact work counters the pipeline already tracks.  A WorkBudget is
+// owned by one attack task (or one daemon request), threaded by pointer
+// through every search engine — Dijkstra, Yen, the simplex, the oracle, the
+// CH query, PHAST, ChTableQuery and CchMetric — and charged by each at one
+// checkpoint (DESIGN.md §10).  Distance work is defined here once:
+// `edges_scanned` (Dijkstra, per settled node) plus `ch_nodes_settled`
+// (CH searches, per search), and the `edges=` cap applies to that sum.
+// Exceeding any cap throws BudgetExhausted, which run_attack() converts
+// into a structured AttackStatus::BudgetExhausted — the same outcome on
+// every machine and thread count.  The counts feed the daemon's slow-query
+// log lines and request spans (DESIGN.md §13).
 //
 // The serving layer (`mts routed`) additionally arms a wall-clock deadline on
 // the same budget object: arm_deadline() makes every charge checkpoint also
@@ -17,8 +22,8 @@
 // batch experiment output must stay machine-independent; only the daemon,
 // whose responses are already latency-sensitive, arms them (DESIGN.md §15).
 //
-// A null budget pointer (the default everywhere) means unlimited and costs
-// one pointer test per checkpoint.
+// A null budget pointer means nothing is capped and nothing is counted, and
+// costs one pointer test per checkpoint.
 #pragma once
 
 #include <cstdint>
@@ -47,29 +52,37 @@ class DeadlineExceeded : public Error {
   using Error::Error;
 };
 
-/// Deterministic work caps plus the running totals charged against them.
-/// Caps of 0 mean unlimited.  Not thread-safe: one budget per task.
+/// Deterministic work caps plus the work charged against them.  Caps of 0
+/// mean unlimited.  Not thread-safe: one budget per task.
 struct WorkBudget {
   /// A deadline probe reads the clock only once per this many charge calls;
   /// the first charge always probes, so an already-expired request fails on
   /// its first checkpoint instead of after a full interval.
   static constexpr std::uint64_t kDeadlineCheckInterval = 64;
 
+  /// Cap on distance work (edges_scanned + ch_nodes_settled).
   std::uint64_t max_edges_scanned = 0;
   std::uint64_t max_lp_pivots = 0;
   std::uint64_t max_spur_searches = 0;
 
-  std::uint64_t edges_scanned = 0;
+  std::uint64_t dijkstra_runs = 0;
+  std::uint64_t nodes_settled = 0;     ///< by Dijkstra
+  std::uint64_t edges_scanned = 0;     ///< by Dijkstra
+  std::uint64_t spur_searches = 0;     ///< Yen deviations, pruned or searched
+  std::uint64_t spurs_pruned = 0;
+  std::uint64_t oracle_calls = 0;
   std::uint64_t lp_pivots = 0;
-  std::uint64_t spur_searches = 0;
+  std::uint64_t ch_queries = 0;        ///< CH point-to-point queries
+  std::uint64_t ch_nodes_settled = 0;  ///< by CH queries, PHAST, buckets and CCH
 
-  /// True when at least one cap (or a deadline) is set; callers pass nullptr
-  /// instead of an unlimited budget so the zero-cap case stays off the hot
-  /// path entirely.
+  /// True when at least one cap (or a deadline) is set.
   [[nodiscard]] bool limited() const {
     return max_edges_scanned != 0 || max_lp_pivots != 0 ||
            max_spur_searches != 0 || deadline_clock_ != nullptr;
   }
+
+  /// The quantity the `edges=` cap bounds.
+  [[nodiscard]] std::uint64_t distance_work() const { return edges_scanned + ch_nodes_settled; }
 
   /// Arms a wall-clock deadline at absolute instant `deadline_s` on `clock`
   /// (which must outlive the budget).  Charge checkpoints then throw
@@ -89,9 +102,13 @@ struct WorkBudget {
   void charge_edges_scanned(std::uint64_t n) {
     check_deadline();
     edges_scanned += n;
-    if (max_edges_scanned != 0 && edges_scanned > max_edges_scanned) {
-      exhausted("edges_scanned", max_edges_scanned);
-    }
+    check_distance_work();
+  }
+
+  void charge_ch_nodes_settled(std::uint64_t n) {
+    check_deadline();
+    ch_nodes_settled += n;
+    check_distance_work();
   }
 
   void charge_lp_pivots(std::uint64_t n) {
@@ -122,6 +139,12 @@ struct WorkBudget {
     if (deadline_clock_ == nullptr) return;
     if ((deadline_ticks_++ % kDeadlineCheckInterval) != 0) return;
     if (deadline_clock_->seconds() >= deadline_s_) expired();
+  }
+
+  void check_distance_work() const {
+    if (max_edges_scanned != 0 && distance_work() > max_edges_scanned) {
+      exhausted("edges_scanned", max_edges_scanned);
+    }
   }
 
   [[noreturn]] static void exhausted(const char* counter, std::uint64_t cap);

@@ -177,7 +177,9 @@ CityTableResult run_city_table_on(const osm::RoadNetwork& network,
       MTS_FAULT_POINT("pool.task");
       AttackOptions options;
       options.rng_seed = derive_seed(config.seed, {trial, ci, ai});
-      options.work_budget = config.work_budget;
+      // Each capped cell charges its own copy; uncapped cells charge none.
+      WorkBudget budget = config.work_budget;
+      if (budget.limited()) options.budget = &budget;
       const AttackResult attack = run_attack(kAllAlgorithms[ai], problem, options);
       CellRecord& record = outcome.record;
       record.task = stable_task;

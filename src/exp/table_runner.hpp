@@ -33,8 +33,8 @@ struct RunConfig {
   /// from their records instead of being recomputed; only missing (and
   /// previously quarantined) cells run.  Requires checkpoint_path.
   bool resume = false;
-  /// Per-attack deterministic work caps (all-zero = unlimited); forwarded
-  /// to AttackOptions::work_budget for every cell.
+  /// Per-attack deterministic work caps (all-zero = unlimited); each cell
+  /// charges its own copy through AttackOptions::budget.
   WorkBudget work_budget;
 };
 

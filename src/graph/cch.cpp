@@ -283,7 +283,7 @@ void CchMetric::recustomize(const EdgeFilter* filter) {
   obs::add(counters.arcs_recomputed, recomputed);
 }
 
-void CchMetric::bounds_to_target(NodeId target, SearchSpace& out, RequestTrace* trace) {
+void CchMetric::bounds_to_target(NodeId target, SearchSpace& out, WorkBudget* budget) {
   const std::size_t n = topo_->num_nodes();
   require(target.value() < n, "CchMetric bounds_to_target: target out of range");
   obs::ScopedPhase obs_phase("cch");
@@ -330,7 +330,7 @@ void CchMetric::bounds_to_target(NodeId target, SearchSpace& out, RequestTrace* 
   obs::add(counters.phast_runs);
   obs::add(counters.settled, settled);
   obs::add(counters.sweep_relaxations, relaxed);
-  if (trace != nullptr) trace->ch_nodes_settled += settled;
+  if (budget != nullptr) budget->charge_ch_nodes_settled(settled);
 }
 
 }  // namespace mts

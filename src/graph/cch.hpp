@@ -33,7 +33,7 @@
 #include <span>
 #include <vector>
 
-#include "core/request_trace.hpp"
+#include "core/budget.hpp"
 #include "graph/contraction_hierarchy.hpp"
 #include "graph/digraph.hpp"
 #include "graph/edge_filter.hpp"
@@ -106,8 +106,9 @@ class CchMetric {
 
   /// Exact one-to-all distances to `target` under the current mask,
   /// published into `out` as a bounds-only SearchSpace (no parents) —
-  /// the masked twin of ContractionHierarchy::bounds_to_target.
-  void bounds_to_target(NodeId target, SearchSpace& out, RequestTrace* trace = nullptr);
+  /// the masked twin of ContractionHierarchy::bounds_to_target, charging
+  /// `budget` (nullptr = uncapped and uncounted) the same way.
+  void bounds_to_target(NodeId target, SearchSpace& out, WorkBudget* budget = nullptr);
 
  private:
   /// min(surviving parallel edges, lower-triangle compositions) for `a`.

@@ -8,9 +8,8 @@
 
 namespace mts {
 
-ChAssets ChAssets::build(const DiGraph& g, std::span<const double> weights,
-                         const ChOptions& options) {
-  ContractionHierarchy ch = ContractionHierarchy::build(g, weights, options);
+ChAssets ChAssets::build(const DiGraph& g, std::span<const double> weights) {
+  ContractionHierarchy ch = ContractionHierarchy::build(g, weights);
   CchTopology cch = CchTopology::build(g, ch.ranks());
   return ChAssets{std::move(ch), std::move(cch)};
 }

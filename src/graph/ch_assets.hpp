@@ -27,8 +27,7 @@ struct ChAssets {
   ContractionHierarchy ch;
   CchTopology cch;
 
-  static ChAssets build(const DiGraph& g, std::span<const double> weights,
-                        const ChOptions& options = {});
+  static ChAssets build(const DiGraph& g, std::span<const double> weights);
 };
 
 /// The MTS_CH knob: whether exp::run_city_table_on builds ChAssets, so

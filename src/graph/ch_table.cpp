@@ -31,8 +31,7 @@ ChTableQuery::ChTableQuery(const ContractionHierarchy& ch)
     : ch_(&ch), buckets_(ch.num_nodes()) {}
 
 std::vector<double> ChTableQuery::table(std::span<const NodeId> sources,
-                                        std::span<const NodeId> targets, RequestTrace* trace,
-                                        WorkBudget* budget) {
+                                        std::span<const NodeId> targets, WorkBudget* budget) {
   obs::ScopedPhase obs_phase("ch");
   const std::size_t n = ch_->num_nodes();
   for (NodeId s : sources) require(s.value() < n, "ChTableQuery: source out of range");
@@ -45,12 +44,11 @@ std::vector<double> ChTableQuery::table(std::span<const NodeId> sources,
   const TableCounters& counters = TableCounters::get();
   // Ends one upward search.  Each search is a budget checkpoint charged
   // with its settled nodes (the unit a CH route query charges); the
-  // registry and the trace see the work first, so a table its budget
-  // stops still reports what it did.
+  // registry sees the work first, so a table its budget stops still
+  // reports what it did.
   const auto finish_search = [&](std::uint64_t settled) {
     obs::add(counters.settled, settled);
-    if (trace != nullptr) trace->ch_nodes_settled += settled;
-    if (budget != nullptr) budget->charge_edges_scanned(settled);
+    if (budget != nullptr) budget->charge_ch_nodes_settled(settled);
   };
 
   // Backward upward search per target: deposit (target-index, distance)

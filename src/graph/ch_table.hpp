@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/budget.hpp"
-#include "core/request_trace.hpp"
 #include "graph/contraction_hierarchy.hpp"
 
 namespace mts {
@@ -33,10 +32,10 @@ class ChTableQuery {
   /// row-major: result[i * targets.size() + j] = dist(sources[i],
   /// targets[j]).  Unreachable pairs get kInfiniteDistance; a node paired
   /// with itself gets 0.  Each upward search charges its settled nodes to
-  /// `budget` (nullptr = unlimited) as edges_scanned, the unit a CH route
-  /// query charges, so caps and deadlines stop a table between searches.
+  /// `budget` (nullptr = uncapped and uncounted) as distance work, like a
+  /// CH route query, so caps and deadlines stop a table between searches.
   std::vector<double> table(std::span<const NodeId> sources, std::span<const NodeId> targets,
-                            RequestTrace* trace = nullptr, WorkBudget* budget = nullptr);
+                            WorkBudget* budget = nullptr);
 
  private:
   struct BucketEntry {

@@ -13,6 +13,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Witness searches settle at most this many nodes (larger = fewer
+/// redundant shortcuts, slower preprocessing) and follow at most this many
+/// hops (small values are standard).
+constexpr std::size_t kWitnessSettleLimit = 60;
+constexpr std::size_t kWitnessHopLimit = 16;
+
 struct ChCounters {
   obs::CounterId queries;
   obs::CounterId settled;
@@ -51,14 +57,12 @@ struct Builder {
   std::vector<std::vector<std::uint32_t>> in_arcs;   // pool ids by head
   std::vector<std::uint8_t> contracted;
   std::vector<std::uint32_t> depth;  // hierarchy-depth heuristic
-  ChOptions options;
 
-  Builder(const DiGraph& g, std::span<const double> weights, const ChOptions& opt)
+  Builder(const DiGraph& g, std::span<const double> weights)
       : out_arcs(g.num_nodes()),
         in_arcs(g.num_nodes()),
         contracted(g.num_nodes(), 0),
-        depth(g.num_nodes(), 0),
-        options(opt) {
+        depth(g.num_nodes(), 0) {
     for (EdgeId e : g.edges()) {
       const auto u = g.edge_from(e).value();
       const auto v = g.edge_to(e).value();
@@ -120,8 +124,8 @@ struct Builder {
       queue.pop();
       if (dist > get(node)) continue;  // stale
       if (node == target) return dist <= limit;
-      if (++settled > options.witness_settle_limit) break;
-      if (hops >= options.witness_hop_limit) continue;
+      if (++settled > kWitnessSettleLimit) break;
+      if (hops >= kWitnessHopLimit) continue;
       for (std::uint32_t id : out_arcs[node]) {
         const PoolArc& arc = pool[id];
         if (contracted[arc.to] || arc.to == banned) continue;
@@ -220,13 +224,12 @@ ChSearchSpace& thread_ch_search_space() {
 }
 
 ContractionHierarchy ContractionHierarchy::build(const DiGraph& g,
-                                                 std::span<const double> weights,
-                                                 const ChOptions& options) {
+                                                 std::span<const double> weights) {
   require(g.finalized(), "CH: graph not finalized");
   require(weights.size() == g.num_edges(), "CH: weights size mismatch");
 
   const std::size_t n = g.num_nodes();
-  Builder builder(g, weights, options);
+  Builder builder(g, weights);
 
   ContractionHierarchy ch;
   ch.rank_.assign(n, 0);
@@ -328,29 +331,12 @@ void ContractionHierarchy::unpack(std::uint32_t pool_id, std::vector<EdgeId>& ou
 
 ContractionHierarchy::QueryResult ContractionHierarchy::query(NodeId source,
                                                               NodeId target) const {
-  return run_query(source, target, /*need_path=*/true, thread_ch_search_space(), nullptr);
+  return query(source, target, thread_ch_search_space());
 }
 
 ContractionHierarchy::QueryResult ContractionHierarchy::query(NodeId source, NodeId target,
                                                               ChSearchSpace& ws,
-                                                              RequestTrace* trace) const {
-  return run_query(source, target, /*need_path=*/true, ws, trace);
-}
-
-double ContractionHierarchy::distance(NodeId source, NodeId target) const {
-  return run_query(source, target, /*need_path=*/false, thread_ch_search_space(), nullptr)
-      .distance;
-}
-
-double ContractionHierarchy::distance(NodeId source, NodeId target, ChSearchSpace& ws,
-                                      RequestTrace* trace) const {
-  return run_query(source, target, /*need_path=*/false, ws, trace).distance;
-}
-
-ContractionHierarchy::QueryResult ContractionHierarchy::run_query(NodeId source, NodeId target,
-                                                                  bool need_path,
-                                                                  ChSearchSpace& ws,
-                                                                  RequestTrace* trace) const {
+                                                              WorkBudget* budget) const {
   require(source.value() < num_nodes() && target.value() < num_nodes(),
           "CH query: endpoint out of range");
   obs::ScopedPhase obs_phase("ch");
@@ -392,16 +378,17 @@ ContractionHierarchy::QueryResult ContractionHierarchy::run_query(NodeId source,
     }
   }
 
+  // The registry sees the work before the budget checkpoint, so a query
+  // the budget stops still reports what it did.
   obs::add(counters.queries);
   obs::add(counters.settled, result.nodes_settled);
-  if (trace != nullptr) {
-    ++trace->ch_queries;
-    trace->ch_nodes_settled += result.nodes_settled;
+  if (budget != nullptr) {
+    ++budget->ch_queries;
+    budget->charge_ch_nodes_settled(result.nodes_settled);
   }
 
   if (meet < 0) return result;
   result.distance = best;
-  if (!need_path) return result;
 
   Path path;
   path.length = best;
@@ -429,7 +416,7 @@ ContractionHierarchy::QueryResult ContractionHierarchy::run_query(NodeId source,
 }
 
 void ContractionHierarchy::bounds_to_target(NodeId target, ChSearchSpace& ws, SearchSpace& out,
-                                            RequestTrace* trace) const {
+                                            WorkBudget* budget) const {
   require(target.value() < num_nodes(), "CH bounds_to_target: target out of range");
   obs::ScopedPhase obs_phase("ch");
   const std::size_t n = num_nodes();
@@ -481,7 +468,7 @@ void ContractionHierarchy::bounds_to_target(NodeId target, ChSearchSpace& ws, Se
   obs::add(counters.phast_runs);
   obs::add(counters.settled, settled);
   obs::add(counters.sweep_relaxations, relaxed);
-  if (trace != nullptr) trace->ch_nodes_settled += settled;
+  if (budget != nullptr) budget->charge_ch_nodes_settled(settled);
 }
 
 }  // namespace mts

@@ -28,20 +28,12 @@
 #include <span>
 #include <vector>
 
-#include "core/request_trace.hpp"
+#include "core/budget.hpp"
 #include "graph/digraph.hpp"
 #include "graph/path.hpp"
 #include "graph/search_space.hpp"
 
 namespace mts {
-
-struct ChOptions {
-  /// Witness-search limit: settle at most this many nodes per local
-  /// search.  Larger = fewer redundant shortcuts, slower preprocessing.
-  std::size_t witness_settle_limit = 60;
-  /// Hop limit for witness searches (small values are standard).
-  std::size_t witness_hop_limit = 16;
-};
 
 /// Reusable workspace for CH queries: the bidirectional distance/parent
 /// labels (epoch-stamped, reset in O(1)), the shared heap, and the plain
@@ -111,8 +103,7 @@ class ContractionHierarchy {
  public:
   /// Preprocesses `g` under non-negative `weights`.  The graph must be
   /// finalized; it is not retained — the CH is self-contained.
-  static ContractionHierarchy build(const DiGraph& g, std::span<const double> weights,
-                                    const ChOptions& options = {});
+  static ContractionHierarchy build(const DiGraph& g, std::span<const double> weights);
 
   struct QueryResult {
     std::optional<Path> path;  // original edge ids, shortcut-free
@@ -120,16 +111,13 @@ class ContractionHierarchy {
     std::size_t nodes_settled = 0;
   };
 
-  /// Exact point-to-point shortest path.  The workspace overloads reuse
-  /// the caller's storage; the plain ones borrow the thread-local one.
+  /// Exact point-to-point shortest path.  The workspace overload reuses
+  /// the caller's storage; the plain one borrows the thread-local one.
+  /// `budget` (nullptr = uncapped and uncounted) is charged one CH query
+  /// and its settled nodes once the search ends.
   [[nodiscard]] QueryResult query(NodeId source, NodeId target) const;
   [[nodiscard]] QueryResult query(NodeId source, NodeId target, ChSearchSpace& ws,
-                                  RequestTrace* trace = nullptr) const;
-
-  /// Distance-only query (skips path unpacking).
-  [[nodiscard]] double distance(NodeId source, NodeId target) const;
-  [[nodiscard]] double distance(NodeId source, NodeId target, ChSearchSpace& ws,
-                                RequestTrace* trace = nullptr) const;
+                                  WorkBudget* budget = nullptr) const;
 
   /// PHAST-style one-to-all: fills `out` with the exact distance from
   /// every node to `target` under the build weights (backward upward
@@ -137,8 +125,10 @@ class ContractionHierarchy {
   /// rank).  `out` carries distances only — parents stay invalid — which
   /// is exactly the shape DijkstraOptions::goal_bounds consumes.  Replaces
   /// a full reverse Dijkstra at O(arcs) with no heap on the sweep side.
+  /// `budget` (nullptr = uncapped and uncounted) is charged the backward
+  /// search's settled nodes once the pass ends.
   void bounds_to_target(NodeId target, ChSearchSpace& ws, SearchSpace& out,
-                        RequestTrace* trace = nullptr) const;
+                        WorkBudget* budget = nullptr) const;
 
   [[nodiscard]] std::size_t num_nodes() const { return rank_.size(); }
   [[nodiscard]] std::size_t num_shortcuts() const { return num_shortcuts_; }
@@ -179,8 +169,6 @@ class ContractionHierarchy {
     double weight = 0.0;
   };
 
-  [[nodiscard]] QueryResult run_query(NodeId source, NodeId target, bool need_path,
-                                      ChSearchSpace& ws, RequestTrace* trace) const;
   void unpack(std::uint32_t pool_id, std::vector<EdgeId>& out) const;
 
   std::vector<std::uint32_t> rank_;

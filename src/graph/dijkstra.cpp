@@ -106,10 +106,9 @@ void run_search(SearchSpace& ws, const DiGraph& g, std::span<const double> weigh
   }
 
   ws.last = {settled_count, edges_scanned, bound_pruned};
-  if (options.trace != nullptr) {
-    ++options.trace->dijkstra_runs;
-    options.trace->nodes_settled += settled_count;
-    options.trace->edges_scanned += edges_scanned;
+  if (options.budget != nullptr) {
+    ++options.budget->dijkstra_runs;
+    options.budget->nodes_settled += settled_count;
   }
   const auto& counters = DijkstraCounters::get();
   obs::add(counters.runs);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/budget.hpp"
-#include "core/request_trace.hpp"
 #include "graph/digraph.hpp"
 #include "graph/edge_filter.hpp"
 #include "graph/path.hpp"
@@ -49,14 +48,11 @@ struct DijkstraOptions {
   /// validated this exact weight vector (e.g. once per Yen query instead
   /// of once per spur search).
   bool assume_valid_weights = false;
-  /// Deterministic work budget charged once per settled node with the edges
-  /// scanned from it (nullptr = unlimited).  Exceeding the cap throws
+  /// Work meter (nullptr = uncapped and uncounted): charged once per
+  /// settled node with the edges scanned from it; the run and its settled
+  /// nodes are added on completion.  Exceeding the cap throws
   /// BudgetExhausted out of the search; the workspace stays reusable.
   WorkBudget* budget = nullptr;
-  /// Per-request work accounting (nullptr = none): the search adds its run
-  /// count, settled nodes, and scanned edges on completion.  Purely
-  /// observational — never changes the search (core/request_trace.hpp).
-  RequestTrace* trace = nullptr;
 };
 
 /// One-shot weight validation, hoisted out of the relaxation loops: the

@@ -118,8 +118,7 @@ class SpurSearcher {
  public:
   SpurSearcher(const DiGraph& g, std::span<const double> weights, NodeId target,
                const EdgeFilter* base_filter, const SearchSpace& reverse_tree,
-               SearchSpace& workspace, WorkBudget* budget = nullptr,
-               RequestTrace* trace = nullptr)
+               SearchSpace& workspace, WorkBudget* budget)
       : g_(g),
         weights_(weights),
         target_(target),
@@ -127,15 +126,14 @@ class SpurSearcher {
         workspace_(workspace),
         scratch_filter_(base_filter != nullptr ? *base_filter : EdgeFilter(g.num_edges())),
         banned_nodes_(g.num_nodes(), 0),
-        budget_(budget),
-        trace_(trace) {}
+        budget_(budget) {}
 
   /// Expands every deviation of `base` (rooted at prefix positions
   /// [0, base.edges.size())) and pushes new simple-path candidates.
   /// `accepted` is the list of already-output paths (for edge bans);
   /// `needed` is how many more paths the caller still wants — it feeds the
   /// candidate-admission bound that lets hopeless spur searches be skipped
-  /// (they still count as searches for the caller's safety cap).
+  /// (they still count as spur searches against the budget).
   void expand(const Path& base, const std::vector<Path>& accepted, CandidateHeap& candidates,
               std::unordered_set<std::uint64_t>& seen, std::size_t needed) {
     const std::vector<NodeId> base_nodes = path_nodes(g_, base);
@@ -201,7 +199,6 @@ class SpurSearcher {
           admit == kInfiniteDistance ? kInfiniteDistance : admit - root_length;
       spur_options.assume_valid_weights = true;
       spur_options.budget = budget_;
-      spur_options.trace = trace_;
       dijkstra(workspace_, g_, weights_, spur_node, spur_options);
       ++searches_;
       static const obs::HistogramId kSpurEdges =
@@ -235,7 +232,7 @@ class SpurSearcher {
     }
   }
 
-  /// Spur searches attempted so far (performed + pruned; feeds the cap).
+  /// Spur searches attempted so far (performed + pruned).
   [[nodiscard]] std::size_t searches() const { return searches_; }
   /// How many of those the admission bound killed: skipped outright by the
   /// reverse-tree check, or run but cut off before reaching the target.
@@ -251,23 +248,20 @@ class SpurSearcher {
   std::vector<std::uint8_t> banned_nodes_;
   std::vector<std::size_t> shared_root_;  // per accepted path, see expand()
   WorkBudget* budget_ = nullptr;
-  RequestTrace* trace_ = nullptr;
   std::size_t searches_ = 0;
   std::size_t pruned_ = 0;
 };
 
-/// Flushes one Yen query's counters into the registry on scope exit (the
-/// query has several return paths).
+/// Flushes one Yen query's counters into the registry and its pruned
+/// spurs into the budget on scope exit (the query has several return
+/// paths; the budget's spur searches were charged one by one).
 struct YenCounterFlush {
   const CandidateHeap& heap;
   const SpurSearcher& searcher;
-  RequestTrace* trace = nullptr;
+  WorkBudget* budget = nullptr;
 
   ~YenCounterFlush() {
-    if (trace != nullptr) {
-      trace->spur_searches += searcher.searches();
-      trace->spurs_pruned += searcher.pruned();
-    }
+    if (budget != nullptr) budget->spurs_pruned += searcher.pruned();
     static const obs::CounterId kQueries = obs::MetricsRegistry::instance().counter("yen.queries");
     static const obs::CounterId kSpurs =
         obs::MetricsRegistry::instance().counter("yen.spur_searches");
@@ -288,14 +282,12 @@ struct YenCounterFlush {
 /// Builds the query's reverse shortest-path tree (exact distances to
 /// `target` under `filter`) in the thread's secondary workspace slot.
 SearchSpace& build_reverse_tree(const DiGraph& g, std::span<const double> weights,
-                                NodeId target, const EdgeFilter* filter,
-                                WorkBudget* budget = nullptr, RequestTrace* trace = nullptr) {
+                                NodeId target, const EdgeFilter* filter, WorkBudget* budget) {
   SearchSpace& reverse_tree = thread_search_space(1);
   DijkstraOptions reverse_options;
   reverse_options.filter = filter;
   reverse_options.assume_valid_weights = true;  // validated by the query entry
   reverse_options.budget = budget;
-  reverse_options.trace = trace;
   reverse_dijkstra(reverse_tree, g, weights, target, reverse_options);
   return reverse_tree;
 }
@@ -310,38 +302,39 @@ std::vector<Path> yen_ksp(const DiGraph& g, std::span<const double> weights, Nod
   std::vector<Path> accepted;
   if (k == 0) return accepted;
   require(source != target, "yen_ksp: source == target (only the empty path exists)");
+  const Path* first = options.first_path;
+  require(first != nullptr || options.reverse_bounds == nullptr,
+          "yen_ksp: reverse_bounds requires first_path");
+  require(first == nullptr || (!first->empty() && g.edge_from(first->edges.front()) == source &&
+                               g.edge_to(first->edges.back()) == target),
+          "yen_ksp: first_path does not run source -> target");
   validate_weights(g, weights, "yen_ksp");
 
   obs::ScopedPhase phase("yen");
+  // Caller-supplied bounds (CH/PHAST/CCH) replace the reverse tree; without
+  // them the tree is built under the filter.
   const SearchSpace* bounds = options.reverse_bounds;
-  if (bounds != nullptr) {
-    // Caller-supplied bounds (CH/PHAST): no reverse tree exists, so the
-    // caller must hand over the first path as well.
-    require(options.first_path != nullptr, "yen_ksp: reverse_bounds requires first_path");
-    require(!options.first_path->empty() &&
-                g.edge_from(options.first_path->edges.front()) == source &&
-                g.edge_to(options.first_path->edges.back()) == target,
-            "yen_ksp: first_path does not run source -> target");
-    accepted.push_back(*options.first_path);
+  if (bounds == nullptr) {
+    bounds = &build_reverse_tree(g, weights, target, options.filter, options.budget);
+  }
+  if (first != nullptr) {
+    accepted.push_back(*first);
   } else {
-    SearchSpace& reverse_tree =
-        build_reverse_tree(g, weights, target, options.filter, options.budget, options.trace);
     // The first path falls out of the reverse tree: follow reverse parents
     // forward from the source (its length is recomputed as the forward-order
     // sum, bit-identical to a forward Dijkstra's accumulation).
-    auto first = extract_reverse_path(g, reverse_tree, weights, source, target);
-    if (!first) return accepted;
-    accepted.push_back(std::move(*first));
-    bounds = &reverse_tree;
+    auto extracted = extract_reverse_path(g, *bounds, weights, source, target);
+    if (!extracted) return accepted;
+    accepted.push_back(std::move(*extracted));
   }
 
-  SpurSearcher searcher(g, weights, target, options.filter, *bounds,
-                        thread_search_space(0), options.budget, options.trace);
+  SpurSearcher searcher(g, weights, target, options.filter, *bounds, thread_search_space(0),
+                        options.budget);
   CandidateHeap candidates;
   std::unordered_set<std::uint64_t> seen;
   seen.insert(path_signature(accepted.front()));
 
-  YenCounterFlush flush{candidates, searcher, options.trace};
+  YenCounterFlush flush{candidates, searcher, options.budget};
   while (accepted.size() < k) {
     searcher.expand(accepted.back(), accepted, candidates, seen, k - accepted.size());
     if (candidates.empty()) break;
@@ -349,34 +342,8 @@ std::vector<Path> yen_ksp(const DiGraph& g, std::span<const double> weights, Nod
 #if defined(MTS_ENABLE_DCHECKS)
     accepted.back().check_invariants(g, weights);
 #endif
-    if (options.max_spur_searches != 0 && searcher.searches() >= options.max_spur_searches) break;
   }
   return accepted;
-}
-
-std::optional<Path> second_shortest_path(const DiGraph& g, std::span<const double> weights,
-                                         NodeId source, NodeId target, const Path& avoid,
-                                         const EdgeFilter* filter, WorkBudget* budget,
-                                         RequestTrace* trace,
-                                         const SearchSpace* reverse_bounds) {
-  require(!avoid.empty(), "second_shortest_path: avoid path is empty");
-  require(g.edge_from(avoid.edges.front()) == source,
-          "second_shortest_path: avoid path does not start at source");
-  validate_weights(g, weights, "second_shortest_path");
-  obs::ScopedPhase phase("yen");
-  const SearchSpace* bounds = reverse_bounds != nullptr
-                                  ? reverse_bounds
-                                  : &build_reverse_tree(g, weights, target, filter, budget, trace);
-  SpurSearcher searcher(g, weights, target, filter, *bounds, thread_search_space(0), budget,
-                        trace);
-  CandidateHeap candidates;
-  std::unordered_set<std::uint64_t> seen;
-  seen.insert(path_signature(avoid));
-  const std::vector<Path> accepted = {avoid};
-  YenCounterFlush flush{candidates, searcher, trace};
-  searcher.expand(avoid, accepted, candidates, seen, /*needed=*/1);
-  if (candidates.empty()) return std::nullopt;
-  return candidates.pop();
 }
 
 }  // namespace mts

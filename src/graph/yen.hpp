@@ -2,9 +2,9 @@
 //
 // The paper forces the victim onto the 100th-shortest path between source
 // and destination ("path rank"); this module produces that ranked list.
-// The same spur-path machinery yields a "second shortest path different
-// from P" oracle, which the attack layer uses to certify that the forced
-// path p* is the *exclusive* shortest path after edge removals.
+// With the first path given, yen_ksp(k = 2) is also the "second shortest
+// path different from P" query the attack layer uses to certify that the
+// forced path p* is the *exclusive* shortest path after edge removals.
 //
 // Spur searches are goal-directed: one reverse Dijkstra from the
 // destination per query provides exact lower bounds that prune spur
@@ -13,7 +13,6 @@
 // `yen.spurs_pruned` counter reports how many spurs the bound killed.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -24,16 +23,16 @@ namespace mts {
 struct YenOptions {
   /// Removed-edge mask applied to every search (nullptr = none).
   const EdgeFilter* filter = nullptr;
-  /// Safety cap on total spur searches (0 = unlimited).
-  std::size_t max_spur_searches = 0;
-  /// Deterministic work budget, charged one spur search per deviation
-  /// position plus the underlying Dijkstra effort (nullptr = unlimited).
-  /// Exceeding it throws BudgetExhausted (core/budget.hpp).
+  /// Work meter (nullptr = uncapped and uncounted), charged one spur search
+  /// per deviation position plus the underlying Dijkstra effort; the pruned
+  /// spurs are added when the query ends.  Exceeding a cap throws
+  /// BudgetExhausted (core/budget.hpp).
   WorkBudget* budget = nullptr;
-  /// Per-request work accounting (nullptr = none): receives spur-search /
-  /// spur-pruned totals plus the underlying Dijkstra effort
-  /// (core/request_trace.hpp).
-  RequestTrace* trace = nullptr;
+  /// The shortest path under `filter`, when the caller already has it: it
+  /// becomes rank 1 instead of the path extracted from the reverse tree.
+  /// Must run source -> target; its length must be the forward-order edge
+  /// sum.  With k = 2 this is the second-shortest-path query.
+  const Path* first_path = nullptr;
   /// Externally computed reverse bounds: exact distances to `target` under
   /// `filter` in a bounds-only SearchSpace (e.g.
   /// ContractionHierarchy::bounds_to_target).  When set, yen_ksp skips its
@@ -43,32 +42,12 @@ struct YenOptions {
   /// lengths are forward-order sums independent of the bounds, which only
   /// decide what gets pruned.
   const SearchSpace* reverse_bounds = nullptr;
-  /// The shortest path under `filter` (required with `reverse_bounds`).
-  /// Must run source -> target; its length must be the forward-order edge
-  /// sum.
-  const Path* first_path = nullptr;
 };
 
 /// Returns up to `k` simple paths from `source` to `target` in nondecreasing
-/// length order (fewer if the graph has fewer distinct simple paths or the
-/// spur-search cap is hit).  k = 0 returns an empty vector.
+/// length order (fewer if the graph has fewer distinct simple paths).
+/// k = 0 returns an empty vector.
 std::vector<Path> yen_ksp(const DiGraph& g, std::span<const double> weights, NodeId source,
                           NodeId target, std::size_t k, const YenOptions& options = {});
-
-/// Shortest simple path from `source` to `target` that differs from `avoid`
-/// (by edge sequence), or nullopt if no other path exists.  Exact: uses the
-/// Yen deviation argument, so it considers every path that branches off
-/// `avoid` at any node.  `avoid` must itself be the (a) shortest path under
-/// the current filter for the deviation argument to be exhaustive.
-/// `reverse_bounds`, when set, must hold exact distances to `target` under
-/// `filter` (e.g. CchMetric::bounds_to_target after recustomizing to the
-/// same filter) and replaces the internal reverse Dijkstra; the returned
-/// path is identical either way (see YenOptions::reverse_bounds).
-std::optional<Path> second_shortest_path(const DiGraph& g, std::span<const double> weights,
-                                         NodeId source, NodeId target, const Path& avoid,
-                                         const EdgeFilter* filter = nullptr,
-                                         WorkBudget* budget = nullptr,
-                                         RequestTrace* trace = nullptr,
-                                         const SearchSpace* reverse_bounds = nullptr);
 
 }  // namespace mts

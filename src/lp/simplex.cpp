@@ -160,7 +160,6 @@ PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis, std::size_t 
       case fault::Action::None:
         break;
     }
-    if (options.budget != nullptr) options.budget->charge_lp_pivots(1);
 
     const bool use_bland = stalls >= kBlandAfterStalls;
     std::size_t entering = t.cols();
@@ -193,6 +192,8 @@ PhaseOutcome run_phase(Tableau& t, std::vector<std::size_t>& basis, std::size_t 
       }
     }
     if (leaving == t.rows()) return PhaseOutcome::Unbounded;
+    // One charge per pivot, the unit lp.pivots counts.
+    if (options.budget != nullptr) options.budget->charge_lp_pivots(1);
 
     if (best_ratio < kTolerance) {
       ++stalls;

@@ -42,8 +42,8 @@ struct LpOptions {
   /// InvariantViolation on corruption.  Always treated as true in
   /// MTS_ENABLE_DCHECKS builds (Debug / MTS_SANITIZE); opt-in elsewhere.
   bool check_invariants = false;
-  /// Deterministic work budget charged one pivot at a time (nullptr =
-  /// unlimited); exceeding it throws BudgetExhausted (core/budget.hpp).
+  /// Work meter charged once per pivot (nullptr = uncapped and
+  /// uncounted); exceeding its cap throws BudgetExhausted (core/budget.hpp).
   WorkBudget* budget = nullptr;
 };
 

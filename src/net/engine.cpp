@@ -53,8 +53,12 @@ void append_registry_stats(Response& response) {
 QueryEngine::QueryEngine(const Snapshot& snapshot, const WorkBudget& budget_template)
     : snapshot_(&snapshot), budget_template_(budget_template) {}
 
-Response QueryEngine::handle(const Request& request, RequestTrace* trace,
-                             const Stopwatch* deadline_clock, double deadline_s) {
+Response QueryEngine::handle(const Request& request) {
+  WorkBudget budget = budget_template_;
+  return handle(request, budget);
+}
+
+Response QueryEngine::handle(const Request& request, WorkBudget& budget) {
   try {
     // Value site: Stall emulates a slow handler (the worker sleeps, the
     // request then completes normally); everything else escalates.
@@ -67,9 +71,7 @@ Response QueryEngine::handle(const Request& request, RequestTrace* trace,
       default:
         fault::throw_injected("routed.request", action);
     }
-    WorkBudget budget = budget_template_;
-    if (deadline_clock != nullptr) budget.arm_deadline(deadline_clock, deadline_s);
-    return dispatch(request, budget, trace);
+    return dispatch(request, budget);
   } catch (...) {
     Response response;
     response.id = request.id;
@@ -79,7 +81,7 @@ Response QueryEngine::handle(const Request& request, RequestTrace* trace,
   }
 }
 
-Response QueryEngine::dispatch(const Request& request, WorkBudget& budget, RequestTrace* trace) {
+Response QueryEngine::dispatch(const Request& request, WorkBudget& budget) {
   switch (request.verb) {
     case Verb::Ping:
       return ok_response(request.id, "pong");
@@ -99,13 +101,13 @@ Response QueryEngine::dispatch(const Request& request, WorkBudget& budget, Reque
       return response;
     }
     case Verb::Route:
-      return route(request, budget, trace);
+      return route(request, budget);
     case Verb::Kalt:
-      return alternatives(request, budget, trace);
+      return alternatives(request, budget);
     case Verb::Table:
-      return table(request, budget, trace);
+      return table(request, budget);
     case Verb::Attack:
-      return attack(request, budget, trace);
+      return attack(request, budget);
   }
   throw InvalidInput("unhandled request verb");
 }
@@ -121,15 +123,12 @@ ChTableQuery& QueryEngine::table_query_for(const Request& request) {
   return *slot;
 }
 
-std::optional<Path> QueryEngine::ch_path(const Request& request, WorkBudget& budget,
-                                         RequestTrace* trace) {
-  // The CH's work unit (settled nodes) charges the same budget counter a
-  // Dijkstra's settled nodes would.  Re-summing the unpacked path in
-  // forward edge order is the accumulation Dijkstra's extract_path does,
-  // so the wire distance matches a plain Dijkstra's byte for byte.
+std::optional<Path> QueryEngine::ch_path(const Request& request, WorkBudget& budget) {
+  // Re-summing the unpacked path in forward edge order is the accumulation
+  // Dijkstra's extract_path does, so the wire distance matches a plain
+  // Dijkstra's byte for byte.
   auto result = ch_for(request).query(NodeId(request.source), NodeId(request.target),
-                                      ch_workspace_, trace);
-  if (budget.limited()) budget.charge_edges_scanned(result.nodes_settled);
+                                      ch_workspace_, &budget);
   if (result.path) {
     result.path->length =
         path_length(result.path->edges, snapshot_->weights(request.weight == WeightKind::Time));
@@ -138,17 +137,16 @@ std::optional<Path> QueryEngine::ch_path(const Request& request, WorkBudget& bud
 }
 
 YenOptions QueryEngine::ranking_options(const Request& request, WorkBudget& budget,
-                                        RequestTrace* trace, const std::optional<Path>& first) {
+                                        const std::optional<Path>& first) {
   // The CH path replaces Yen's opening rank-1 Dijkstra and one PHAST pass
   // its reverse bound tree; the spur searches then run goal-bounded
   // against the PHAST distances exactly as against the reverse tree
   // (DESIGN.md §14).
   YenOptions options;
-  if (budget.limited()) options.budget = &budget;
-  options.trace = trace;
+  options.budget = &budget;
   if (first) {
     ch_for(request).bounds_to_target(NodeId(request.target), ch_workspace_, reverse_bounds_,
-                                     trace);
+                                     &budget);
     options.reverse_bounds = &reverse_bounds_;
     options.first_path = &*first;
   }
@@ -167,7 +165,7 @@ void QueryEngine::check_endpoints(const Request& request) const {
   }
 }
 
-Response QueryEngine::route(const Request& request, WorkBudget& budget, RequestTrace* trace) {
+Response QueryEngine::route(const Request& request, WorkBudget& budget) {
   check_endpoints(request);
   Response response = ok_response(request.id, "route");
   if (request.source == request.target) {
@@ -177,21 +175,20 @@ Response QueryEngine::route(const Request& request, WorkBudget& budget, RequestT
     return response;
   }
 
-  const std::optional<Path> path = ch_path(request, budget, trace);
+  const std::optional<Path> path = ch_path(request, budget);
   response.fields.emplace_back("found", path ? "1" : "0");
   response.fields.emplace_back("dist", format_wire_double(path ? path->length : kInfiniteDistance));
   response.fields.emplace_back("hops", std::to_string(path ? path->edges.size() : 0));
   return response;
 }
 
-Response QueryEngine::alternatives(const Request& request, WorkBudget& budget,
-                                   RequestTrace* trace) {
+Response QueryEngine::alternatives(const Request& request, WorkBudget& budget) {
   check_endpoints(request);
   if (request.source == request.target) {
     throw InvalidInput("kalt requires distinct endpoints, got node " +
                        std::to_string(request.source) + " twice");
   }
-  const std::optional<Path> first = ch_path(request, budget, trace);
+  const std::optional<Path> first = ch_path(request, budget);
   if (!first) {
     Response response = ok_response(request.id, "kalt");
     response.fields.emplace_back("paths", "0");
@@ -199,7 +196,7 @@ Response QueryEngine::alternatives(const Request& request, WorkBudget& budget,
     response.fields.emplace_back("worst", format_wire_double(0.0));
     return response;
   }
-  const YenOptions options = ranking_options(request, budget, trace, first);
+  const YenOptions options = ranking_options(request, budget, first);
   const std::vector<Path> paths =
       yen_ksp(snapshot_->graph(), snapshot_->weights(request.weight == WeightKind::Time),
               NodeId(request.source), NodeId(request.target), request.k, options);
@@ -213,7 +210,7 @@ Response QueryEngine::alternatives(const Request& request, WorkBudget& budget,
   return response;
 }
 
-Response QueryEngine::table(const Request& request, WorkBudget& budget, RequestTrace* trace) {
+Response QueryEngine::table(const Request& request, WorkBudget& budget) {
   const std::size_t num_nodes = snapshot_->num_nodes();
   std::vector<NodeId> sources;
   std::vector<NodeId> targets;
@@ -233,8 +230,7 @@ Response QueryEngine::table(const Request& request, WorkBudget& budget, RequestT
     }
     targets.emplace_back(t);
   }
-  const std::vector<double> values =
-      table_query_for(request).table(sources, targets, trace, budget.limited() ? &budget : nullptr);
+  const std::vector<double> values = table_query_for(request).table(sources, targets, &budget);
 
   std::string joined;
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -248,7 +244,7 @@ Response QueryEngine::table(const Request& request, WorkBudget& budget, RequestT
   return response;
 }
 
-Response QueryEngine::attack(const Request& request, WorkBudget& budget, RequestTrace* trace) {
+Response QueryEngine::attack(const Request& request, WorkBudget& budget) {
   check_endpoints(request);
   if (request.source == request.target) {
     throw InvalidInput("attack requires distinct endpoints, got node " +
@@ -258,8 +254,8 @@ Response QueryEngine::attack(const Request& request, WorkBudget& budget, Request
 
   // No path at all: yen_ksp returns empty and the rank-unavailable branch
   // answers.
-  const std::optional<Path> first = ch_path(request, budget, trace);
-  const YenOptions yen_options = ranking_options(request, budget, trace, first);
+  const std::optional<Path> first = ch_path(request, budget);
+  const YenOptions yen_options = ranking_options(request, budget, first);
   std::vector<Path> ranked = yen_ksp(snapshot_->graph(), weights, NodeId(request.source),
                                      NodeId(request.target), request.rank, yen_options);
 
@@ -284,8 +280,7 @@ Response QueryEngine::attack(const Request& request, WorkBudget& budget, Request
 
   attack::AttackOptions attack_options;
   attack_options.rng_seed = request.id;  // deterministic per request
-  attack_options.work_budget = budget;   // carries the work already charged by Yen
-  attack_options.trace = trace;
+  attack_options.budget = &budget;
   const attack::AttackResult result = run_attack(request.algorithm, problem, attack_options);
 
   if (result.status == attack::AttackStatus::Success) {

@@ -1,9 +1,9 @@
 // Per-worker query engine: the mutable half of the routed process shape.
 //
 // A QueryEngine owns everything one worker thread needs to answer a
-// request — reusable epoch-stamped search workspaces and per-request
-// work-budget copies — while all graph bytes stay in the shared immutable
-// net::Snapshot.  One engine per worker, never shared: handle() may be
+// request — reusable epoch-stamped search workspaces and the template of
+// each request's work budget — while all graph bytes stay in the shared
+// immutable net::Snapshot.  One engine per worker, never shared: handle() may be
 // called from exactly one thread at a time.
 //
 // Every request failure is converted into a structured `err` response
@@ -17,7 +17,6 @@
 #include <optional>
 
 #include "core/budget.hpp"
-#include "core/request_trace.hpp"
 #include "graph/ch_table.hpp"
 #include "graph/contraction_hierarchy.hpp"
 #include "graph/search_space.hpp"
@@ -29,38 +28,38 @@ namespace mts::net {
 
 class QueryEngine {
  public:
-  /// `snapshot` must outlive the engine; `budget_template` is copied into
-  /// every request (all-zero caps = unlimited).
+  /// `snapshot` must outlive the engine; `budget_template` is what the
+  /// one-argument handle() copies into every request (all-zero caps =
+  /// unlimited).
   QueryEngine(const Snapshot& snapshot, const WorkBudget& budget_template);
 
-  /// Answers one request.  Never throws: failures become `err` responses
-  /// tagged with the error taxonomy.  The `routed.request` fault point
-  /// fires here (once per request hit) when armed.  When `trace` is
-  /// non-null it accumulates this request's work counters — including the
-  /// work performed before a failure — for spans and the slow-query log.
-  /// A non-null `deadline_clock` arms a wall-clock deadline at absolute
-  /// instant `deadline_s` on that clock (the server's lifetime Stopwatch):
-  /// the request's budget copy then answers `err ... deadline-exceeded:`
-  /// once the work runs past it (DESIGN.md §15).
-  Response handle(const Request& request, RequestTrace* trace = nullptr,
-                  const Stopwatch* deadline_clock = nullptr, double deadline_s = 0.0);
+  /// Answers one request, charging every search it runs to `budget` —
+  /// including the work performed before a failure, which the server's
+  /// spans and slow-query log read back.  Never throws: failures become
+  /// `err` responses tagged with the error taxonomy (an exhausted cap
+  /// answers `budget-exhausted:`, an armed deadline that passes answers
+  /// `deadline-exceeded:`, DESIGN.md §15).  The `routed.request` fault
+  /// point fires here (once per request hit) when armed.
+  Response handle(const Request& request, WorkBudget& budget);
+  /// Same, charging a fresh copy of the budget template.
+  Response handle(const Request& request);
 
  private:
-  Response dispatch(const Request& request, WorkBudget& budget, RequestTrace* trace);
-  Response route(const Request& request, WorkBudget& budget, RequestTrace* trace);
-  Response alternatives(const Request& request, WorkBudget& budget, RequestTrace* trace);
-  Response table(const Request& request, WorkBudget& budget, RequestTrace* trace);
-  Response attack(const Request& request, WorkBudget& budget, RequestTrace* trace);
+  Response dispatch(const Request& request, WorkBudget& budget);
+  Response route(const Request& request, WorkBudget& budget);
+  Response alternatives(const Request& request, WorkBudget& budget);
+  Response table(const Request& request, WorkBudget& budget);
+  Response attack(const Request& request, WorkBudget& budget);
   void check_endpoints(const Request& request) const;
   /// The snapshot's CH for the request's weight kind.
   [[nodiscard]] const ContractionHierarchy& ch_for(const Request& request) const;
   /// The request's source->target shortest path off the CH, its length
   /// re-summed in forward edge order (nullopt when unreachable).
-  std::optional<Path> ch_path(const Request& request, WorkBudget& budget, RequestTrace* trace);
+  std::optional<Path> ch_path(const Request& request, WorkBudget& budget);
   /// Yen options for a kalt/attack ranking.  With a `first` path they
   /// carry it plus PHAST distances-to-target as the spur searches' goal
   /// bounds; `first` must outlive the yen_ksp call.
-  YenOptions ranking_options(const Request& request, WorkBudget& budget, RequestTrace* trace,
+  YenOptions ranking_options(const Request& request, WorkBudget& budget,
                              const std::optional<Path>& first);
   /// Per-engine many-to-many machinery for a weight kind, created on the
   /// first table request (buckets are sized to the graph; most engines

@@ -371,7 +371,10 @@ void RoutedServer::handle_line(const std::shared_ptr<Connection>& connection,
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
   const TaskQueue::SubmitResult submitted = queue_->try_submit(
       [this, connection, request, start_s, deadline_at_s, span_start_s](std::size_t worker) {
-        RequestTrace trace;
+        // One meter per request: a copy of --budget with the deadline
+        // armed, charged by every engine the request runs.
+        WorkBudget budget = options_.request_budget;
+        if (deadline_at_s > 0.0) budget.arm_deadline(&clock_, deadline_at_s);
         Response response;
         if (deadline_at_s > 0.0 && clock_.seconds() >= deadline_at_s) {
           // Expired while queued: answer without burning a worker on work
@@ -379,9 +382,7 @@ void RoutedServer::handle_line(const std::shared_ptr<Connection>& connection,
           response.id = request.id;
           response.error = std::string(kDeadlineTaxonomy) + ": expired while queued";
         } else {
-          response = engines_[worker]->handle(request, &trace,
-                                              deadline_at_s > 0.0 ? &clock_ : nullptr,
-                                              deadline_at_s);
+          response = engines_[worker]->handle(request, budget);
         }
         // Latency covers parse-to-handled, not the response write.  All
         // bookkeeping lands BEFORE the response bytes leave, so a client
@@ -401,7 +402,7 @@ void RoutedServer::handle_line(const std::shared_ptr<Connection>& connection,
         }
         window_.record(clock_.seconds(), latency_s);
         obs::observe(latency_histogram(), reported_seconds(latency_s));
-        record_outcome(request, response, trace, latency_s, span_start_s);
+        record_outcome(request, response, budget, latency_s, span_start_s);
         queue_depth_.fetch_sub(1, std::memory_order_relaxed);
         deliver_response(*connection, serialize_response(response) + "\n", true);
       });
@@ -445,12 +446,12 @@ void RoutedServer::shed_request(Connection& connection, const Request& request,
   // error taxonomy to the slowlog regardless of the latency threshold.
   const double span_start_s =
       obs::trace_enabled() ? obs::MetricsRegistry::instance().seconds_since_epoch() : 0.0;
-  record_outcome(request, response, RequestTrace{}, 0.0, span_start_s);
+  record_outcome(request, response, WorkBudget{}, 0.0, span_start_s);
   deliver_response(connection, serialize_response(response) + "\n", finishes_pending);
 }
 
 void RoutedServer::record_outcome(const Request& request, const Response& response,
-                                  const RequestTrace& trace, double latency_s,
+                                  const WorkBudget& work, double latency_s,
                                   double span_start_s) {
   // Threshold decisions use the raw latency so MTS_SLOWLOG keeps working
   // under MTS_TIMING=0; errors are always outliers worth keeping.
@@ -459,14 +460,14 @@ void RoutedServer::record_outcome(const Request& request, const Response& respon
     entry.verb = to_string(request.verb);
     entry.id = request.id;
     entry.latency_s = reported_seconds(latency_s);
-    entry.fields.emplace_back("dijkstra_runs", trace.dijkstra_runs);
-    entry.fields.emplace_back("nodes_settled", trace.nodes_settled);
-    entry.fields.emplace_back("edges_scanned", trace.edges_scanned);
-    entry.fields.emplace_back("spur_searches", trace.spur_searches);
-    entry.fields.emplace_back("spurs_pruned", trace.spurs_pruned);
-    entry.fields.emplace_back("oracle_calls", trace.oracle_calls);
-    entry.fields.emplace_back("ch_queries", trace.ch_queries);
-    entry.fields.emplace_back("ch_nodes_settled", trace.ch_nodes_settled);
+    entry.fields.emplace_back("dijkstra_runs", work.dijkstra_runs);
+    entry.fields.emplace_back("nodes_settled", work.nodes_settled);
+    entry.fields.emplace_back("edges_scanned", work.edges_scanned);
+    entry.fields.emplace_back("spur_searches", work.spur_searches);
+    entry.fields.emplace_back("spurs_pruned", work.spurs_pruned);
+    entry.fields.emplace_back("oracle_calls", work.oracle_calls);
+    entry.fields.emplace_back("ch_queries", work.ch_queries);
+    entry.fields.emplace_back("ch_nodes_settled", work.ch_nodes_settled);
     entry.error = response.error;
     slowlog_->append(entry);
   }
@@ -477,13 +478,13 @@ void RoutedServer::record_outcome(const Request& request, const Response& respon
     event.ts_s = span_start_s;
     event.dur_s = reported_seconds(latency_s);
     event.args.emplace_back("id", std::to_string(request.id));
-    event.args.emplace_back("edges_scanned", std::to_string(trace.edges_scanned));
-    event.args.emplace_back("nodes_settled", std::to_string(trace.nodes_settled));
-    event.args.emplace_back("spur_searches", std::to_string(trace.spur_searches));
-    event.args.emplace_back("spurs_pruned", std::to_string(trace.spurs_pruned));
-    event.args.emplace_back("oracle_calls", std::to_string(trace.oracle_calls));
-    event.args.emplace_back("ch_queries", std::to_string(trace.ch_queries));
-    event.args.emplace_back("ch_nodes_settled", std::to_string(trace.ch_nodes_settled));
+    event.args.emplace_back("edges_scanned", std::to_string(work.edges_scanned));
+    event.args.emplace_back("nodes_settled", std::to_string(work.nodes_settled));
+    event.args.emplace_back("spur_searches", std::to_string(work.spur_searches));
+    event.args.emplace_back("spurs_pruned", std::to_string(work.spurs_pruned));
+    event.args.emplace_back("oracle_calls", std::to_string(work.oracle_calls));
+    event.args.emplace_back("ch_queries", std::to_string(work.ch_queries));
+    event.args.emplace_back("ch_nodes_settled", std::to_string(work.ch_nodes_settled));
     if (!response.ok) event.args.emplace_back("error", response.error);
     obs::MetricsRegistry::instance().record_trace_event(std::move(event));
   }

@@ -37,7 +37,6 @@
 
 #include "core/budget.hpp"
 #include "core/mutex.hpp"
-#include "core/request_trace.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "net/framing.hpp"
@@ -173,9 +172,10 @@ class RoutedServer {
   /// socket down both ways so the reader (EOF) and the peer both notice.
   void evict_slow_client(Connection& connection) MTS_REQUIRES(connection.mutex);
   /// Post-response bookkeeping for one request: slow-query log append and
-  /// request-span trace event, both no-ops when their knob is off.
+  /// request-span trace event, both no-ops when their knob is off.  The
+  /// work fields of both come from the request's budget, `work`.
   void record_outcome(const Request& request, const Response& response,
-                      const RequestTrace& trace, double latency_s, double span_start_s);
+                      const WorkBudget& work, double latency_s, double span_start_s);
 
   const Snapshot* snapshot_;
   RoutedOptions options_;

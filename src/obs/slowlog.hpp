@@ -26,7 +26,7 @@ namespace mts::obs {
 
 /// One logged request.  `fields` carries the per-request work counters as
 /// ordered key/count pairs so the obs layer stays ignorant of who counts
-/// what (the server fills them from its RequestTrace).
+/// what (the server fills them from the request's WorkBudget).
 struct SlowLogEntry {
   std::string verb;
   std::uint64_t id = 0;

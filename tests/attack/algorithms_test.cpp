@@ -218,8 +218,10 @@ TEST_P(AllAlgorithms, TinyWorkBudgetYieldsStructuredExhaustion) {
   std::vector<double> costs(wg.g.num_edges(), 1.0);
   const auto problem = make_problem(wg.g, wg.weights, costs, s, t, ranked[7]);
 
+  WorkBudget budget;
+  budget.max_edges_scanned = 1;
   AttackOptions options;
-  options.work_budget.max_edges_scanned = 1;
+  options.budget = &budget;
   const auto result = run_attack(GetParam(), problem, options);
   EXPECT_EQ(result.status, AttackStatus::BudgetExhausted);
   EXPECT_STREQ(to_string(result.status), "budget-exhausted");

@@ -79,15 +79,17 @@ TEST(ChTableQuery, ReusableAcrossCallsWithDifferentShapes) {
   }
 }
 
-TEST(ChTableQuery, TraceAccumulatesWork) {
+TEST(ChTableQuery, BudgetAccumulatesWork) {
   test::Diamond d;
   const auto ch = ContractionHierarchy::build(d.wg.g, d.wg.weights);
   ChTableQuery table(ch);
-  RequestTrace trace;
+  WorkBudget budget;
   const std::vector<NodeId> sources = {d.s};
   const std::vector<NodeId> targets = {d.t};
-  static_cast<void>(table.table(sources, targets, &trace));
-  EXPECT_GT(trace.ch_nodes_settled, 0u);
+  static_cast<void>(table.table(sources, targets, &budget));
+  EXPECT_GT(budget.ch_nodes_settled, 0u);
+  EXPECT_EQ(budget.distance_work(), budget.ch_nodes_settled);
+  EXPECT_EQ(budget.ch_queries, 0u);  // bucket searches are not point queries
 }
 
 TEST(ChTableQuery, CityNetworkAgainstFullDijkstra) {

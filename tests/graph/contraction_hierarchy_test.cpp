@@ -14,9 +14,9 @@ namespace {
 TEST(ContractionHierarchy, DiamondDistances) {
   test::Diamond d;
   const auto ch = ContractionHierarchy::build(d.wg.g, d.wg.weights);
-  EXPECT_DOUBLE_EQ(ch.distance(d.s, d.t), 2.0);
-  EXPECT_DOUBLE_EQ(ch.distance(d.s, d.a), 1.0);
-  EXPECT_DOUBLE_EQ(ch.distance(d.t, d.s), kInfiniteDistance);  // directed!
+  EXPECT_DOUBLE_EQ(ch.query(d.s, d.t).distance, 2.0);
+  EXPECT_DOUBLE_EQ(ch.query(d.s, d.a).distance, 1.0);
+  EXPECT_DOUBLE_EQ(ch.query(d.t, d.s).distance, kInfiniteDistance);  // directed!
 }
 
 TEST(ContractionHierarchy, DiamondPathUnpacksToOriginalEdges) {
@@ -74,7 +74,7 @@ TEST(ContractionHierarchy, MatchesDijkstraOnCityNetwork) {
     const NodeId s(static_cast<std::uint32_t>(rng.uniform_index(g.num_nodes())));
     const NodeId t(static_cast<std::uint32_t>(rng.uniform_index(g.num_nodes())));
     const double expected = shortest_distance(g, weights, s, t);
-    EXPECT_NEAR(ch.distance(s, t), expected, 1e-9 * (1.0 + expected)) << "trial " << trial;
+    EXPECT_NEAR(ch.query(s, t).distance, expected, 1e-9 * (1.0 + expected)) << "trial " << trial;
   }
 }
 
@@ -142,7 +142,7 @@ TEST(ContractionHierarchy, RejectsBadInput) {
   bad[0] = -1.0;
   EXPECT_THROW(ContractionHierarchy::build(d.wg.g, bad), PreconditionViolation);
   const auto ch = ContractionHierarchy::build(d.wg.g, d.wg.weights);
-  EXPECT_THROW(static_cast<void>(ch.distance(NodeId(99), d.s)), PreconditionViolation);
+  EXPECT_THROW(static_cast<void>(ch.query(NodeId(99), d.s)), PreconditionViolation);
 }
 
 }  // namespace

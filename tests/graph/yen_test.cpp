@@ -2,14 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "core/error.hpp"
-#include "core/request_trace.hpp"
 #include "test_util.hpp"
 
 namespace mts {
 namespace {
+
+/// The second-shortest-path query: rank 2 of a Yen ranking that starts at
+/// `first` (nullopt when no other simple path exists).
+std::optional<Path> second_after(const DiGraph& g, std::span<const double> weights,
+                                 NodeId s, NodeId t, const Path& first) {
+  YenOptions options;
+  options.first_path = &first;
+  auto ranked = yen_ksp(g, weights, s, t, 2, options);
+  if (ranked.size() < 2) return std::nullopt;
+  return std::move(ranked[1]);
+}
 
 TEST(Yen, DiamondRanksAllThreePaths) {
   test::Diamond d;
@@ -95,9 +106,9 @@ TEST(Yen, FirstHundredPathsMatchBruteForceEdgeForEdge) {
     const auto expected = test::enumerate_simple_paths(wg.g, wg.weights, s, t);
     ASSERT_GT(expected.size(), 150u) << "seed " << seed;
 
-    RequestTrace trace;
+    WorkBudget budget;
     YenOptions options;
-    options.trace = &trace;
+    options.budget = &budget;
     const auto actual = yen_ksp(wg.g, wg.weights, s, t, kRank, options);
     ASSERT_EQ(actual.size(), kRank) << "seed " << seed;
     for (std::size_t i = 0; i < kRank; ++i) {
@@ -105,9 +116,9 @@ TEST(Yen, FirstHundredPathsMatchBruteForceEdgeForEdge) {
       EXPECT_NEAR(actual[i].length, expected[i].length, 1e-9)
           << "seed " << seed << " rank " << i + 1;
     }
-    pruned += trace.spurs_pruned;
+    pruned += budget.spurs_pruned;
 
-    const auto second = second_shortest_path(wg.g, wg.weights, s, t, actual[0]);
+    const auto second = second_after(wg.g, wg.weights, s, t, actual[0]);
     ASSERT_TRUE(second.has_value()) << "seed " << seed;
     EXPECT_EQ(second->edges, expected[1].edges) << "seed " << seed;
   }
@@ -155,8 +166,8 @@ TEST(Yen, TieBreakPopsLexSmallestCandidate) {
   EXPECT_EQ(paths[1].edges, (std::vector<EdgeId>{sa, ac, ct}));  // lex-min tie
   EXPECT_EQ(paths[2].edges, (std::vector<EdgeId>{sb, bt}));
 
-  // The second-shortest oracle resolves the same tie the same way.
-  const auto second = second_shortest_path(wg.g, wg.weights, s, t, paths[0]);
+  // The second-shortest query resolves the same tie the same way.
+  const auto second = second_after(wg.g, wg.weights, s, t, paths[0]);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->edges, (std::vector<EdgeId>{sa, ac, ct}));
 }
@@ -199,21 +210,24 @@ TEST(Yen, RespectsBaseFilter) {
   EXPECT_DOUBLE_EQ(paths[1].length, 4.0);
 }
 
-TEST(Yen, SpurSearchCapTruncates) {
+TEST(Yen, SpurBudgetStopsTheRanking) {
+  // The budget's spurs= cap is Yen's one spur cap: the ranking throws at
+  // the first spur search past it, after charging every spur it tried.
   Rng rng(3);
   auto wg = test::make_random_graph(30, 120, rng);
+  WorkBudget budget;
+  budget.max_spur_searches = 1;
   YenOptions options;
-  options.max_spur_searches = 1;
-  const auto paths = yen_ksp(wg.g, wg.weights, NodeId(0), NodeId(29), 50, options);
-  EXPECT_LE(paths.size(), 2u);
-  EXPECT_GE(paths.size(), 1u);
+  options.budget = &budget;
+  EXPECT_THROW(yen_ksp(wg.g, wg.weights, NodeId(0), NodeId(29), 50, options), BudgetExhausted);
+  EXPECT_EQ(budget.spur_searches, 2u);
 }
 
 TEST(SecondShortestPath, FindsRunnerUp) {
   test::Diamond d;
   const auto first = shortest_path(d.wg.g, d.wg.weights, d.s, d.t);
   ASSERT_TRUE(first.has_value());
-  const auto second = second_shortest_path(d.wg.g, d.wg.weights, d.s, d.t, *first);
+  const auto second = second_after(d.wg.g, d.wg.weights, d.s, d.t, *first);
   ASSERT_TRUE(second.has_value());
   EXPECT_DOUBLE_EQ(second->length, 3.0);
   EXPECT_NE(second->edges, first->edges);
@@ -227,7 +241,7 @@ TEST(SecondShortestPath, NoneWhenUnique) {
   g.finalize();
   const std::vector<double> w = {1.0};
   Path only{{e}, 1.0};
-  EXPECT_FALSE(second_shortest_path(g, w, a, b, only).has_value());
+  EXPECT_FALSE(second_after(g, w, a, b, only).has_value());
 }
 
 TEST(SecondShortestPath, AgreesWithYenRankTwo) {
@@ -238,9 +252,10 @@ TEST(SecondShortestPath, AgreesWithYenRankTwo) {
     const NodeId t(19);
     const auto top2 = yen_ksp(wg.g, wg.weights, s, t, 2);
     if (top2.size() < 2) continue;
-    const auto second = second_shortest_path(wg.g, wg.weights, s, t, top2[0]);
+    const auto second = second_after(wg.g, wg.weights, s, t, top2[0]);
     ASSERT_TRUE(second.has_value()) << "seed " << seed;
-    EXPECT_NEAR(second->length, top2[1].length, 1e-9) << "seed " << seed;
+    EXPECT_EQ(second->edges, top2[1].edges) << "seed " << seed;
+    EXPECT_EQ(second->length, top2[1].length) << "seed " << seed;
   }
 }
 

@@ -66,7 +66,7 @@ TEST(Fuzz, RoutingAlgorithmsAgreeOnNastyGraphs) {
     expect_same_distance(via_dijkstra, via_bf);
     // CH on graphs with zero-weight cycles is still exact for distances.
     const auto ch = ContractionHierarchy::build(wg.g, wg.weights);
-    expect_same_distance(via_dijkstra, ch.distance(s, t));
+    expect_same_distance(via_dijkstra, ch.query(s, t).distance);
   }
 }
 

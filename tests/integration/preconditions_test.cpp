@@ -97,13 +97,23 @@ TEST(Preconditions, YenAndSecondShortest) {
   expect_precondition([&] { yen_ksp(d.wg.g, d.wg.weights, d.s, d.s, 3); },
                       "source == target");
 
-  expect_precondition(
-      [&] { second_shortest_path(d.wg.g, d.wg.weights, d.s, d.t, Path{}); },
-      "avoid path is empty");
+  // The second-shortest-path query is yen_ksp(k = 2) from a given first
+  // path, which must run source -> target.
+  const auto rank_two_after = [&](const Path& first) {
+    YenOptions options;
+    options.first_path = &first;
+    return yen_ksp(d.wg.g, d.wg.weights, d.s, d.t, 2, options);
+  };
+  expect_precondition([&] { rank_two_after(Path{}); }, "first_path does not run source");
   const Path from_a{{d.at}, 1.0};
-  expect_precondition(
-      [&] { second_shortest_path(d.wg.g, d.wg.weights, d.s, d.t, from_a); },
-      "does not start at source");
+  expect_precondition([&] { rank_two_after(from_a); }, "first_path does not run source");
+  const Path to_a{{d.sa}, 1.0};
+  expect_precondition([&] { rank_two_after(to_a); }, "first_path does not run source");
+  SearchSpace bounds;
+  YenOptions bounds_only;
+  bounds_only.reverse_bounds = &bounds;
+  expect_precondition([&] { yen_ksp(d.wg.g, d.wg.weights, d.s, d.t, 2, bounds_only); },
+                      "reverse_bounds requires first_path");
 }
 
 TEST(Preconditions, CentralityAndConnectivity) {

@@ -279,10 +279,8 @@ TEST(Simplex, WorkBudgetChargesPivotsAndThrows) {
   relaxed.budget = &roomy;
   const auto result = solve_lp(covering_like_lp(), relaxed);
   ASSERT_EQ(result.status, LpStatus::Optimal);
-  // One charge per loop entry: every pivot plus the final optimality check
-  // of each phase.
-  EXPECT_GE(roomy.lp_pivots, result.iterations);
-  EXPECT_LE(roomy.lp_pivots, result.iterations + 2);
+  // One charge per pivot: the budget's count is the solve's.
+  EXPECT_EQ(roomy.lp_pivots, result.iterations);
 }
 
 }  // namespace

@@ -231,8 +231,9 @@ TEST(ChServing, TableStopsAtExpiredDeadline) {
   request.sources = {1, 9};
   request.targets = {70, 4};
   const Stopwatch clock;
-  const Response late =
-      QueryEngine(ch_snapshot(), WorkBudget{}).handle(request, nullptr, &clock, 0.0);
+  WorkBudget budget;
+  budget.arm_deadline(&clock, 0.0);
+  const Response late = QueryEngine(ch_snapshot(), WorkBudget{}).handle(request, budget);
   EXPECT_FALSE(late.ok);
   EXPECT_NE(late.error.find("deadline-exceeded"), std::string::npos) << late.error;
 }
