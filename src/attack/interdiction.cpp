@@ -10,6 +10,9 @@ namespace mts::attack {
 
 namespace {
 
+/// Stop after this many removals even if budget remains.
+constexpr std::size_t kMaxRemovals = 64;
+
 /// s->d distance under the filter, counting the query.
 double query_distance(const DiGraph& g, std::span<const double> weights, NodeId s, NodeId d,
                       const EdgeFilter& filter, std::size_t& queries) {
@@ -18,20 +21,18 @@ double query_distance(const DiGraph& g, std::span<const double> weights, NodeId 
 }
 
 /// Best edge on the current shortest path by exact marginal gain: tries
-/// removing each candidate and measures the distance increase per cost.
+/// removing each candidate and measures the distance increase per cost,
+/// skipping candidates whose removal disconnects s from d.
 EdgeId pick_greedy(const DiGraph& g, std::span<const double> weights,
                    std::span<const double> costs, NodeId s, NodeId d, EdgeFilter& filter,
-                   const Path& current, bool keep_connected, std::size_t& queries) {
+                   const Path& current, std::size_t& queries) {
   EdgeId best = EdgeId::invalid();
   double best_ratio = 0.0;
   for (EdgeId e : current.edges) {
     filter.remove(e);
     const double dist = query_distance(g, weights, s, d, filter, queries);
     filter.restore(e);
-    if (dist == kInfiniteDistance) {
-      if (keep_connected) continue;
-      return e;  // disconnection allowed: maximal damage
-    }
+    if (dist == kInfiniteDistance) continue;
     const double gain = dist - current.length;
     const double ratio = gain / costs[e.value()];
     if (ratio > best_ratio) {
@@ -43,18 +44,18 @@ EdgeId pick_greedy(const DiGraph& g, std::span<const double> weights,
 }
 
 /// Betweenness-guided pick: highest precomputed betweenness-to-cost ratio
-/// among the current path's edges (no lookahead queries).
+/// among the current path's edges whose removal keeps s connected to d (a
+/// connectivity query per candidate, no distance lookahead).
 EdgeId pick_betweenness(const DiGraph& g, std::span<const double> weights,
                         std::span<const double> costs, NodeId s, NodeId d, EdgeFilter& filter,
-                        const Path& current, bool keep_connected,
-                        const std::vector<double>& betweenness, std::size_t& queries) {
+                        const Path& current, const std::vector<double>& betweenness,
+                        std::size_t& queries) {
   std::vector<EdgeId> order(current.edges);
   std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
     return betweenness[a.value()] / costs[a.value()] >
            betweenness[b.value()] / costs[b.value()];
   });
   for (EdgeId e : order) {
-    if (!keep_connected) return e;
     filter.remove(e);
     const bool connected =
         query_distance(g, weights, s, d, filter, queries) < kInfiniteDistance;
@@ -91,13 +92,12 @@ InterdictionResult interdict_route(const DiGraph& g, std::span<const double> wei
   }
 
   Path current = std::move(*initial);
-  while (result.removed_edges.size() < options.max_removals) {
+  while (result.removed_edges.size() < kMaxRemovals) {
     EdgeId choice =
         options.strategy == InterdictionStrategy::Greedy
             ? pick_greedy(g, weights, costs, source, target, filter, current,
-                          options.keep_connected, result.distance_queries)
-            : pick_betweenness(g, weights, costs, source, target, filter, current,
-                               options.keep_connected, betweenness,
+                          result.distance_queries)
+            : pick_betweenness(g, weights, costs, source, target, filter, current, betweenness,
                                result.distance_queries);
     if (!choice.valid()) break;
     if (result.total_cost + costs[choice.value()] > budget) break;
@@ -106,13 +106,9 @@ InterdictionResult interdict_route(const DiGraph& g, std::span<const double> wei
     result.removed_edges.push_back(choice);
     result.total_cost += costs[choice.value()];
 
-    auto next = shortest_path(g, weights, source, target, &filter);
+    // The pick skipped every disconnecting removal, so a path remains.
+    current = shortest_path(g, weights, source, target, &filter).value();
     ++result.distance_queries;
-    if (!next) {  // disconnected (only reachable with keep_connected=false)
-      result.final_distance = kInfiniteDistance;
-      break;
-    }
-    current = std::move(*next);
     result.final_distance = current.length;
   }
   return result;

@@ -30,11 +30,6 @@ enum class InterdictionStrategy {
 
 struct InterdictionOptions {
   InterdictionStrategy strategy = InterdictionStrategy::Greedy;
-  /// Stop after this many removals even if budget remains.
-  std::size_t max_removals = 64;
-  /// Never disconnect s from d (a disconnection is a different attack —
-  /// use area_isolation).  When a removal would disconnect, it is skipped.
-  bool keep_connected = true;
 };
 
 struct InterdictionResult {
@@ -49,8 +44,11 @@ struct InterdictionResult {
   }
 };
 
-/// Maximizes the s->d shortest-path distance subject to Σ cost <= budget.
-/// Throws PreconditionViolation if d is unreachable from s to begin with.
+/// Maximizes the s->d shortest-path distance subject to Σ cost <= budget,
+/// stopping after 64 removals.  Never disconnects s from d (a disconnection
+/// is a different attack — use area_isolation): a removal that would is
+/// skipped.  Throws PreconditionViolation if d is unreachable from s to
+/// begin with.
 InterdictionResult interdict_route(const DiGraph& g, std::span<const double> weights,
                                    std::span<const double> costs, NodeId source, NodeId target,
                                    double budget,

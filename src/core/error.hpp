@@ -4,6 +4,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mts {
 
@@ -43,12 +44,15 @@ std::string current_exception_taxonomy();
 
 /// Checks a caller-facing precondition; throws PreconditionViolation with
 /// file/line context on failure.  Used at public API boundaries (internal
-/// invariants use MTS_DCHECK from core/check.hpp).
-inline void require(bool condition, const std::string& message,
+/// invariants use MTS_DCHECK from core/check.hpp).  The message is a view,
+/// so a literal costs nothing while the check passes; a message composed
+/// with `+` is built on every call, so hot paths compose theirs only after
+/// the check has failed (graph/dijkstra.cpp's require_for).
+inline void require(bool condition, std::string_view message,
                     std::source_location loc = std::source_location::current()) {
   if (!condition) {
     throw PreconditionViolation(std::string(loc.file_name()) + ":" +
-                                std::to_string(loc.line()) + ": " + message);
+                                std::to_string(loc.line()) + ": " + std::string(message));
   }
 }
 

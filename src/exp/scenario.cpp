@@ -11,6 +11,10 @@
 
 namespace mts::exp {
 
+/// Resampling attempts per scenario before giving up (sources too close to
+/// the hospital may not have `path_rank` distinct simple paths).
+constexpr int kMaxAttempts = 40;
+
 std::optional<Scenario> sample_scenario(const osm::RoadNetwork& network,
                                         const std::vector<double>& weights,
                                         std::size_t hospital_index, Rng& rng,
@@ -29,7 +33,7 @@ std::optional<Scenario> sample_scenario(const osm::RoadNetwork& network,
   const double mean_segment = compute_network_metrics(g).mean_segment_length;
   const double min_separation = options.min_separation_segments * mean_segment;
 
-  for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const NodeId source = intersections[rng.uniform_index(intersections.size())];
     if (source == poi.node || source == poi.access_node) continue;
     if (g.node_distance(source, poi.node) < min_separation) continue;

@@ -39,9 +39,6 @@ struct Scenario {
 
 struct ScenarioOptions {
   int path_rank = 100;
-  /// Resampling attempts per scenario before giving up (sources too close
-  /// to the hospital may not have `path_rank` distinct simple paths).
-  int max_attempts = 40;
   /// Minimum straight-line source-hospital separation, in multiples of the
   /// network's mean segment length (avoids trivial adjacent sources).
   double min_separation_segments = 8.0;

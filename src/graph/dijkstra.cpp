@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <source_location>
 #include <string>
 
 #include "core/check.hpp"
@@ -11,6 +12,14 @@
 namespace mts {
 
 namespace {
+
+/// require() whose message is "<caller>: <what>", composed only on failure:
+/// these checks run once per search, so a prefix built up front would
+/// allocate on every Yen spur search and oracle query.
+void require_for(bool condition, const char* caller, const char* what,
+                 std::source_location loc = std::source_location::current()) {
+  if (!condition) require(false, std::string(caller) + ": " + what, loc);
+}
 
 struct DijkstraCounters {
   obs::CounterId runs;
@@ -34,15 +43,14 @@ struct DijkstraCounters {
 template <bool Reverse>
 void run_search(SearchSpace& ws, const DiGraph& g, std::span<const double> weights,
                 NodeId origin, const DijkstraOptions& options, const char* caller) {
-  require(g.finalized(), std::string(caller) + ": graph not finalized");
-  require(origin.value() < g.num_nodes(), std::string(caller) + ": source out of range");
+  require_for(g.finalized(), caller, "graph not finalized");
+  require_for(origin.value() < g.num_nodes(), caller, "source out of range");
   if (options.assume_valid_weights) {
     MTS_DCHECK_EQ(weights.size(), g.num_edges());
   } else {
     validate_weights(g, weights, caller);
   }
-  require(options.goal_bounds != &ws,
-          std::string(caller) + ": goal_bounds must be a different workspace");
+  require_for(options.goal_bounds != &ws, caller, "goal_bounds must be a different workspace");
   MTS_DCHECK(options.goal_bounds != nullptr || options.prune_bound == kInfiniteDistance);
 
   obs::ScopedPhase phase("dijkstra");
@@ -53,7 +61,7 @@ void run_search(SearchSpace& ws, const DiGraph& g, std::span<const double> weigh
 
   const auto* banned = options.banned_nodes;
   if (banned != nullptr) {
-    require(banned->size() == g.num_nodes(), std::string(caller) + ": ban mask size mismatch");
+    require_for(banned->size() == g.num_nodes(), caller, "ban mask size mismatch");
   }
 
   const SearchSpace* bounds = options.goal_bounds;
@@ -119,13 +127,13 @@ void run_search(SearchSpace& ws, const DiGraph& g, std::span<const double> weigh
 }  // namespace
 
 void validate_weights(const DiGraph& g, std::span<const double> weights, const char* caller) {
-  require(weights.size() == g.num_edges(), std::string(caller) + ": weight vector size mismatch");
+  require_for(weights.size() == g.num_edges(), caller, "weight vector size mismatch");
   bool all_non_negative = true;
   for (const double w : weights) {
     // !(w >= 0) also catches NaN.
     all_non_negative = all_non_negative && w >= 0.0;
   }
-  require(all_non_negative, std::string(caller) + ": negative edge weight");
+  require_for(all_non_negative, caller, "negative edge weight");
 }
 
 void dijkstra(SearchSpace& ws, const DiGraph& g, std::span<const double> weights,

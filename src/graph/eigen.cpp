@@ -6,7 +6,13 @@
 
 namespace mts {
 
-EigenResult eigenvector_centrality(const DiGraph& g, const EigenOptions& options) {
+constexpr std::size_t kMaxIterations = 200;
+/// Convergence threshold on the mean per-node L1 change between iterates.
+constexpr double kTolerance = 1e-10;
+/// Uniform additive teleport ensuring convergence on reducible graphs.
+constexpr double kDamping = 1e-3;
+
+EigenResult eigenvector_centrality(const DiGraph& g) {
   require(g.finalized(), "eigenvector_centrality: graph not finalized");
   const std::size_t n = g.num_nodes();
   EigenResult result;
@@ -15,7 +21,7 @@ EigenResult eigenvector_centrality(const DiGraph& g, const EigenOptions& options
 
   std::vector<double> next(n, 0.0);
   double lambda = 0.0;
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     // next = (A^T + I) x + damping * mean(x) * 1.  The +I shift keeps the
     // dominant eigenvalue unique on bipartite graphs (plain power iteration
     // would oscillate between the two sides); damping handles reducibility.
@@ -23,10 +29,9 @@ EigenResult eigenvector_centrality(const DiGraph& g, const EigenOptions& options
     for (double v : result.centrality) mean += v;
     mean /= static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
-      next[i] = options.damping * mean + result.centrality[i];
+      next[i] = kDamping * mean + result.centrality[i];
     }
     for (EdgeId e : g.edges()) {
-      if (!edge_alive(options.filter, e)) continue;
       next[g.edge_to(e).value()] += result.centrality[g.edge_from(e).value()];
     }
 
@@ -47,7 +52,7 @@ EigenResult eigenvector_centrality(const DiGraph& g, const EigenOptions& options
     }
     lambda = rayleigh - 1.0;  // undo the +I shift
     result.iterations = iter + 1;
-    if (diff < options.tolerance * static_cast<double>(n)) {
+    if (diff < kTolerance * static_cast<double>(n)) {
       result.converged = true;
       break;
     }

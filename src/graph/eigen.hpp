@@ -3,7 +3,7 @@
 // GreedyEig scores a candidate road segment by its eigenvector-centrality
 // contribution divided by its removal cost (paper §III-A, algorithm 4).
 // For a directed edge u -> v the natural edge score is x_u * x_v where x is
-// the dominant eigenvector of the (filtered) adjacency matrix: removing the
+// the dominant eigenvector of the adjacency matrix: removing the
 // edge reduces the dominant eigenvalue by approximately x_u * x_v under the
 // standard first-order perturbation argument.
 #pragma once
@@ -11,17 +11,8 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "graph/edge_filter.hpp"
 
 namespace mts {
-
-struct EigenOptions {
-  std::size_t max_iterations = 200;
-  double tolerance = 1e-10;
-  /// Uniform additive teleport ensuring convergence on reducible graphs.
-  double damping = 1e-3;
-  const EdgeFilter* filter = nullptr;
-};
 
 struct EigenResult {
   std::vector<double> centrality;  // per node, L2-normalized, non-negative
@@ -32,7 +23,7 @@ struct EigenResult {
 
 /// Dominant-eigenvector node centrality of the adjacency matrix (a node is
 /// central if many central nodes point to it).
-EigenResult eigenvector_centrality(const DiGraph& g, const EigenOptions& options = {});
+EigenResult eigenvector_centrality(const DiGraph& g);
 
 /// Per-edge eigen-scores x_from * x_to derived from node centrality.
 std::vector<double> edge_eigen_scores(const DiGraph& g, const EigenResult& result);

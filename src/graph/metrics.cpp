@@ -7,16 +7,18 @@
 
 namespace mts {
 
-double orientation_order(const std::vector<double>& bearings_deg, std::size_t bins) {
-  require(bins >= 2, "orientation_order: need at least 2 bins");
+/// Bearing bins over the folded [0, 90) range: 5 degrees each.
+constexpr std::size_t kBearingBins = 18;
+
+double orientation_order(const std::vector<double>& bearings_deg) {
   if (bearings_deg.empty()) return 0.0;
 
-  std::vector<double> histogram(bins, 0.0);
+  std::vector<double> histogram(kBearingBins, 0.0);
   for (double bearing : bearings_deg) {
     double folded = std::fmod(bearing, 90.0);
     if (folded < 0.0) folded += 90.0;
-    const auto bin =
-        std::min(bins - 1, static_cast<std::size_t>(folded / 90.0 * static_cast<double>(bins)));
+    const double scaled = folded / 90.0 * static_cast<double>(kBearingBins);
+    const auto bin = std::min(kBearingBins - 1, static_cast<std::size_t>(scaled));
     histogram[bin] += 1.0;
   }
 
@@ -29,7 +31,7 @@ double orientation_order(const std::vector<double>& bearings_deg, std::size_t bi
   }
   // Perfect grid: all mass in one bin -> entropy 0 -> order 1.
   // Uniform bearings: entropy log(bins) -> order 0.
-  const double max_entropy = std::log(static_cast<double>(bins));
+  const double max_entropy = std::log(static_cast<double>(kBearingBins));
   return 1.0 - entropy / max_entropy;
 }
 
@@ -57,11 +59,10 @@ NetworkMetrics compute_network_metrics(const DiGraph& g) {
   metrics.mean_segment_length =
       g.num_edges() > 0 ? total_length / static_cast<double>(g.num_edges()) : 0.0;
 
-  std::vector<double> histogram_input = bearings;
-  metrics.orientation_order = orientation_order(histogram_input);
+  metrics.orientation_order = orientation_order(bearings);
   // Entropy in nats for reference (same fold/binning as the order score).
   metrics.orientation_entropy =
-      (1.0 - metrics.orientation_order) * std::log(18.0);
+      (1.0 - metrics.orientation_order) * std::log(static_cast<double>(kBearingBins));
 
   std::size_t four_way = 0;
   std::size_t intersections = 0;

@@ -28,8 +28,8 @@ struct NetworkMetrics {
 NetworkMetrics compute_network_metrics(const DiGraph& g);
 
 /// Boeing (2019) orientation-order score phi in [0, 1]: 1 - a normalized
-/// entropy of edge bearings folded into [0, 90) degrees and binned.
-/// Exposed separately for tests.
-double orientation_order(const std::vector<double>& bearings_deg, std::size_t bins = 18);
+/// entropy of edge bearings folded into [0, 90) degrees and binned into 18
+/// 5-degree bins.  Exposed separately for tests.
+double orientation_order(const std::vector<double>& bearings_deg);
 
 }  // namespace mts

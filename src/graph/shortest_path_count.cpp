@@ -6,9 +6,12 @@
 
 namespace mts {
 
+/// Relative tolerance under which two path lengths count as tied.
+constexpr double kTieRelEps = 1e-9;
+
 std::uint64_t count_shortest_paths(const DiGraph& g, std::span<const double> weights,
                                    NodeId source, NodeId target, const EdgeFilter* filter,
-                                   std::uint64_t cap, double rel_eps) {
+                                   std::uint64_t cap) {
   DijkstraOptions options;
   options.filter = filter;
   const auto tree = dijkstra(g, weights, source, options);
@@ -33,7 +36,7 @@ std::uint64_t count_shortest_paths(const DiGraph& g, std::span<const double> wei
       const NodeId u = g.edge_from(e);
       if (!tree.reached(u)) continue;
       const double through = tree.dist[u.value()] + weights[e.value()];
-      const double eps = rel_eps * (1.0 + std::abs(tree.dist[v.value()]));
+      const double eps = kTieRelEps * (1.0 + std::abs(tree.dist[v.value()]));
       if (std::abs(through - tree.dist[v.value()]) <= eps) {
         total = std::min(cap, total + sigma[u.value()]);
       }

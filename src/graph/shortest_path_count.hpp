@@ -9,8 +9,9 @@
 namespace mts {
 
 /// Number of distinct shortest s->t paths under `weights` (capped at
-/// `cap` to avoid overflow on dense tie structures), using epsilon-tolerant
-/// equality on distances.  Returns 0 if t is unreachable.
+/// `cap` to avoid overflow on dense tie structures), treating distances
+/// within a 1e-9 relative tolerance as equal.  Returns 0 if t is
+/// unreachable.
 ///
 /// Precondition: no zero-weight cycles (road metrics are strictly
 /// positive).  The DP processes nodes in distance order, which is only a
@@ -19,6 +20,6 @@ namespace mts {
 std::uint64_t count_shortest_paths(const DiGraph& g, std::span<const double> weights,
                                    NodeId source, NodeId target,
                                    const EdgeFilter* filter = nullptr,
-                                   std::uint64_t cap = 1'000'000, double rel_eps = 1e-9);
+                                   std::uint64_t cap = 1'000'000);
 
 }  // namespace mts

@@ -23,6 +23,10 @@ namespace mts::net {
 
 namespace {
 
+/// Sources and targets per table request (at most kMaxTableDim).
+constexpr std::uint32_t kTableDim = 4;
+static_assert(kTableDim <= kMaxTableDim);
+
 obs::CounterId sent_counter() {
   static const obs::CounterId id =
       obs::MetricsRegistry::instance().counter("loadgen.requests_sent");
@@ -176,8 +180,10 @@ void replay_connection(const std::string& host, std::uint16_t port,
       while (framer.next_line(line)) {
         const Response response = parse_response(line);
         const auto started = in_flight_start_s.find(response.id);
-        require(started != in_flight_start_s.end(),
-                "loadgen: response id " + std::to_string(response.id) + " was never sent");
+        if (started == in_flight_start_s.end()) {
+          require(false, "loadgen: response id " + std::to_string(response.id) +
+                             " was never sent");
+        }
         const double latency_s = watch.seconds() - started->second;
         in_flight_start_s.erase(started);
         Slot& slot = slots[id_to_slot.at(response.id)];
@@ -292,13 +298,12 @@ std::vector<Request> synthesize_requests(const LoadgenOptions& options, std::siz
         // The shared source/target draws above become the first row/column
         // node, keeping every pre-table mix's stream byte-identical.
         request.verb = Verb::Table;
-        const std::uint32_t dim = std::min(options.table_dim, kMaxTableDim);
         request.sources.push_back(request.source);
         request.targets.push_back(request.target);
-        for (std::uint32_t j = 1; j < dim; ++j) {
+        for (std::uint32_t j = 1; j < kTableDim; ++j) {
           request.sources.push_back(static_cast<std::uint32_t>(rng.uniform_index(num_nodes)));
         }
-        for (std::uint32_t j = 1; j < dim; ++j) {
+        for (std::uint32_t j = 1; j < kTableDim; ++j) {
           request.targets.push_back(static_cast<std::uint32_t>(rng.uniform_index(num_nodes)));
         }
         break;

@@ -34,7 +34,6 @@ struct LoadgenOptions {
   Mix mix = Mix::Route;
   std::uint32_t kalt_k = 4;       // k for kalt requests
   std::uint32_t attack_rank = 8;  // forced path rank for attack requests
-  std::uint32_t table_dim = 4;    // sources/targets per table request
   WeightKind weight = WeightKind::Time;
   /// Overload-aware client behavior (both default off, so a replay with an
   /// unarmed server sends byte-identical wire traffic to the pre-overload

@@ -8,6 +8,7 @@
 #include "core/fault.hpp"
 #include "core/timer.hpp"
 #include "net/engine.hpp"
+#include "net/framing.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 
@@ -71,6 +72,11 @@ obs::CounterId slow_client_counter() {
 
 constexpr std::string_view kDeadlineTaxonomy = "deadline-exceeded";
 
+/// Rolling latency window served by the `stats` verb: the last 60 s at 1 s
+/// resolution (obs/window.hpp has the memory/accuracy trade-off).
+constexpr double kWindowSlotSeconds = 1.0;
+constexpr std::size_t kWindowSlots = 60;
+
 bool is_deadline_error(const Response& response) {
   return !response.ok &&
          std::string_view(response.error).substr(0, kDeadlineTaxonomy.size()) ==
@@ -82,7 +88,7 @@ bool is_deadline_error(const Response& response) {
 RoutedServer::RoutedServer(const Snapshot& snapshot, RoutedOptions options)
     : snapshot_(&snapshot),
       options_(std::move(options)),
-      window_(options_.window_slot_s, options_.window_slots) {
+      window_(kWindowSlotSeconds, kWindowSlots) {
   if (options_.slowlog_threshold_s > 0.0) {
     slowlog_ = std::make_unique<obs::SlowQueryLog>(options_.slowlog_path);
   }
@@ -155,7 +161,7 @@ void RoutedServer::serve(const std::atomic<bool>* external_stop) {
 }
 
 void RoutedServer::reader_loop(const std::shared_ptr<Connection>& connection) {
-  LineFramer framer(options_.max_line_bytes);
+  LineFramer framer(kMaxLineBytes);
   std::vector<char> buffer(4096);
   std::string line;
   bool readable = true;

@@ -39,7 +39,6 @@
 #include "core/mutex.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
-#include "net/framing.hpp"
 #include "net/protocol.hpp"
 #include "net/snapshot.hpp"
 #include "net/socket.hpp"
@@ -54,16 +53,10 @@ struct RoutedOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the choice via port()
   std::size_t threads = 0;  // queue workers; 0 = mts::num_threads()
-  std::size_t max_line_bytes = kMaxLineBytes;
   /// Per-request work caps, copied into every request (all-zero =
   /// unlimited).  Exhaustion produces an `err ... budget-exhausted:`
   /// response, never a dead worker.
   WorkBudget request_budget;
-  /// Rolling latency window served by the `stats` verb: `window_slots`
-  /// intervals of `window_slot_s` seconds (defaults: last 60 s at 1 s
-  /// resolution; see obs/window.hpp for the memory/accuracy trade-off).
-  double window_slot_s = 1.0;
-  std::size_t window_slots = 60;
   /// Slow-query log: requests at or over the threshold — or failing with
   /// any error taxonomy — append one JSONL line to `slowlog_path`.
   /// 0 (the default) disables the log entirely; the CLI wires this to

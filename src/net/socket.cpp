@@ -18,6 +18,9 @@ namespace mts::net {
 
 namespace {
 
+/// Pending-connection queue length passed to listen(2).
+constexpr int kListenBacklog = 64;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw Error(what + ": " + std::strerror(errno));
 }
@@ -123,7 +126,7 @@ void Socket::close() {
   }
 }
 
-Listener Listener::bind(const std::string& host, std::uint16_t port, int backlog) {
+Listener Listener::bind(const std::string& host, std::uint16_t port) {
   const sockaddr_in address = make_address(host, port);
   Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
   if (!socket.valid()) throw_errno("socket");
@@ -132,7 +135,7 @@ Listener Listener::bind(const std::string& host, std::uint16_t port, int backlog
   if (::bind(socket.fd(), reinterpret_cast<const sockaddr*>(&address), sizeof address) != 0) {
     throw_errno("bind " + host + ":" + std::to_string(port));
   }
-  if (::listen(socket.fd(), backlog) != 0) throw_errno("listen");
+  if (::listen(socket.fd(), kListenBacklog) != 0) throw_errno("listen");
   sockaddr_in bound{};
   socklen_t bound_len = sizeof bound;
   if (::getsockname(socket.fd(), reinterpret_cast<sockaddr*>(&bound), &bound_len) != 0) {

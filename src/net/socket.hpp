@@ -67,7 +67,7 @@ class Socket {
 /// 127.0.0.1).  Port 0 binds an ephemeral port; port() reports the choice.
 class Listener {
  public:
-  static Listener bind(const std::string& host, std::uint16_t port, int backlog = 64);
+  static Listener bind(const std::string& host, std::uint16_t port);
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] bool valid() const { return socket_.valid(); }

@@ -13,6 +13,10 @@ namespace mts::osm {
 
 namespace {
 
+/// Snap position tolerance: within this fraction of either segment end a
+/// POI attaches to the existing endpoint instead of splitting the segment.
+constexpr double kEndpointSnapFraction = 0.05;
+
 /// Mutable construction state: plain vectors that are cheap to edit (edge
 /// splits, SCC filtering) before the final immutable DiGraph is built.
 struct BuilderNode {
@@ -167,9 +171,6 @@ std::uint32_t split_edge(Builder& builder, std::size_t edge_idx, double t, XY sp
 }  // namespace
 
 RoadNetwork RoadNetwork::build(const OsmData& data, const BuildOptions& options) {
-  require(options.endpoint_snap_fraction >= 0.0 && options.endpoint_snap_fraction < 0.5,
-          "RoadNetwork::build: endpoint_snap_fraction must be in [0, 0.5)");
-
   // ---- Projection center.
   LatLon center;
   if (options.center) {
@@ -290,9 +291,9 @@ RoadNetwork RoadNetwork::build(const OsmData& data, const BuildOptions& options)
       require(best_edge < builder.edges.size(), "RoadNetwork::build: no snap target");
 
       std::uint32_t access;
-      if (best_proj.t <= options.endpoint_snap_fraction) {
+      if (best_proj.t <= kEndpointSnapFraction) {
         access = builder.edges[best_edge].from;
-      } else if (best_proj.t >= 1.0 - options.endpoint_snap_fraction) {
+      } else if (best_proj.t >= 1.0 - kEndpointSnapFraction) {
         access = builder.edges[best_edge].to;
       } else {
         access = split_edge(builder, best_edge, best_proj.t, best_proj.closest);

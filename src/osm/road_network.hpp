@@ -63,10 +63,9 @@ struct BuildOptions {
   /// (as OSMnx does) so any two kept intersections are mutually routable.
   bool keep_largest_scc = true;
   /// Snap POI nodes to the road network (off by default only in tests).
+  /// A POI within 5% of a segment's length from either end attaches to that
+  /// endpoint; elsewhere it splits the segment.
   bool snap_pois = true;
-  /// Snap position tolerance: within this fraction of either segment end
-  /// the POI attaches to the existing endpoint instead of splitting.
-  double endpoint_snap_fraction = 0.05;
 };
 
 class RoadNetwork {

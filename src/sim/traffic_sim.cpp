@@ -8,6 +8,15 @@
 
 namespace mts::sim {
 
+/// Vehicles one lane-kilometer holds before congestion becomes severe.
+constexpr double kCapacityPerLaneKm = 40.0;
+/// BPR volume-delay parameters: time = free_time * (1 + a*(occ/cap)^b).
+constexpr double kBprAlpha = 0.15;
+constexpr double kBprBeta = 4.0;
+/// Gridlock guard: the BPR multiplier is capped here (occupancy is not
+/// flow, so an uncapped polynomial would produce unphysical crawls).
+constexpr double kMaxCongestionFactor = 8.0;
+
 std::optional<VehicleOutcome> SimResult::victim_outcome() const {
   if (victim_index < 0) return std::nullopt;
   return outcomes[static_cast<std::size_t>(victim_index)];
@@ -38,7 +47,7 @@ TrafficSimulation::TrafficSimulation(const osm::RoadNetwork& network,
   capacity_.reserve(network.segments().size());
   for (const auto& seg : network.segments()) {
     const double lane_km = seg.lanes * seg.length_m / 1000.0;
-    capacity_.push_back(std::max(1.0, lane_km * options.capacity_per_lane_km));
+    capacity_.push_back(std::max(1.0, lane_km * kCapacityPerLaneKm));
   }
   occupancy_.assign(network.graph().num_edges(), 0);
 }
@@ -58,8 +67,8 @@ void TrafficSimulation::add_closure(EdgeId edge, double at_time_s) {
 
 double TrafficSimulation::edge_travel_time(EdgeId e) const {
   const double load = occupancy_[e.value()] / capacity_[e.value()];
-  const double factor = 1.0 + options_.bpr_alpha * std::pow(load, options_.bpr_beta);
-  return free_flow_time_[e.value()] * std::min(options_.max_congestion_factor, factor);
+  const double factor = 1.0 + kBprAlpha * std::pow(load, kBprBeta);
+  return free_flow_time_[e.value()] * std::min(kMaxCongestionFactor, factor);
 }
 
 std::optional<Path> TrafficSimulation::route(NodeId from, NodeId to) const {

@@ -37,14 +37,6 @@ struct SimOptions {
   /// (0 = never reroute after departure: a "static" driver).
   double reroute_interval_s = 60.0;
   double max_time_s = 4.0 * 3600.0;
-  /// Vehicles one lane-kilometer holds before congestion becomes severe.
-  double capacity_per_lane_km = 40.0;
-  /// BPR volume-delay parameters: time = free_time * (1 + a*(occ/cap)^b).
-  double bpr_alpha = 0.15;
-  double bpr_beta = 4.0;
-  /// Gridlock guard: the BPR multiplier is capped here (occupancy is not
-  /// flow, so an uncapped polynomial would produce unphysical crawls).
-  double max_congestion_factor = 8.0;
   /// Consecutive ticks a vehicle may sit routeless before it is written off
   /// as terminally stranded (0 = keep retrying until max_time_s).  Without
   /// the cap a vehicle whose destination was cut off re-runs a full

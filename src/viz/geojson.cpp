@@ -23,7 +23,7 @@ std::string coordinate(const osm::RoadNetwork& network, NodeId n) {
 
 std::string render_attack_geojson(const osm::RoadNetwork& network, const Path& p_star,
                                   const std::vector<EdgeId>& removed_edges, NodeId source,
-                                  NodeId target, const GeoJsonOptions& options) {
+                                  NodeId target) {
   const auto& g = network.graph();
   std::vector<std::uint8_t> role(g.num_edges(), 0);  // 0 road, 1 p*, 2 removed
   for (EdgeId e : p_star.edges) role[e.value()] = 1;
@@ -39,19 +39,16 @@ std::string render_attack_geojson(const osm::RoadNetwork& network, const Path& p
 
   static const char* kRoleNames[] = {"road", "p_star", "removed"};
   for (EdgeId e : g.edges()) {
-    if (role[e.value()] == 0 && !options.roads) continue;
     separator();
+    const auto& seg = network.segment(e);
     out << "{\"type\":\"Feature\",\"geometry\":{\"type\":\"LineString\",\"coordinates\":["
         << coordinate(network, g.edge_from(e)) << ',' << coordinate(network, g.edge_to(e))
-        << "]},\"properties\":{\"role\":\"" << kRoleNames[role[e.value()]] << '"';
-    if (options.attributes) {
-      const auto& seg = network.segment(e);
-      out << ",\"highway\":\"" << osm::to_string(seg.highway) << "\",\"lanes\":" << seg.lanes
-          << ",\"length_m\":" << seg.length_m << ",\"artificial\":"
-          << (seg.artificial ? "true" : "false");
-      const auto& name = network.segment_name(e);
-      if (!name.empty()) out << ",\"name\":\"" << json_escape(name) << '"';
-    }
+        << "]},\"properties\":{\"role\":\"" << kRoleNames[role[e.value()]] << '"'
+        << ",\"highway\":\"" << osm::to_string(seg.highway) << "\",\"lanes\":" << seg.lanes
+        << ",\"length_m\":" << seg.length_m << ",\"artificial\":"
+        << (seg.artificial ? "true" : "false");
+    const auto& name = network.segment_name(e);
+    if (!name.empty()) out << ",\"name\":\"" << json_escape(name) << '"';
     out << "}}";
   }
 
@@ -69,12 +66,12 @@ std::string render_attack_geojson(const osm::RoadNetwork& network, const Path& p
 
 void save_attack_geojson(const std::string& path, const osm::RoadNetwork& network,
                          const Path& p_star, const std::vector<EdgeId>& removed_edges,
-                         NodeId source, NodeId target, const GeoJsonOptions& options) {
+                         NodeId source, NodeId target) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
   std::ofstream out(p);
   require(out.good(), "save_attack_geojson: cannot open " + path);
-  out << render_attack_geojson(network, p_star, removed_edges, source, target, options);
+  out << render_attack_geojson(network, p_star, removed_edges, source, target);
 }
 
 }  // namespace mts::viz

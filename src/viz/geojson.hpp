@@ -17,23 +17,17 @@ using mts::EdgeId;
 using mts::NodeId;
 using mts::Path;
 
-struct GeoJsonOptions {
-  /// Skip plain (non-highlighted) road segments to keep files small.
-  bool roads = true;
-  /// Include per-segment attributes (highway class, name, lanes).
-  bool attributes = true;
-};
-
 /// FeatureCollection with one LineString per road segment (property
-/// "role": "road" | "p_star" | "removed") and Point features for the
+/// "role": "road" | "p_star" | "removed", plus the segment's highway class,
+/// lanes, length, artificial flag and name) and Point features for the
 /// source ("role": "source") and target ("role": "target").
 std::string render_attack_geojson(const osm::RoadNetwork& network, const Path& p_star,
                                   const std::vector<EdgeId>& removed_edges, NodeId source,
-                                  NodeId target, const GeoJsonOptions& options = {});
+                                  NodeId target);
 
 /// Writes the GeoJSON to `path` (creating parent directories).
 void save_attack_geojson(const std::string& path, const osm::RoadNetwork& network,
                          const Path& p_star, const std::vector<EdgeId>& removed_edges,
-                         NodeId source, NodeId target, const GeoJsonOptions& options = {});
+                         NodeId source, NodeId target);
 
 }  // namespace mts::viz

@@ -5,12 +5,26 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "core/error.hpp"
 
 namespace mts::viz {
 
 namespace {
+
+constexpr double kWidthPx = 1200.0;
+constexpr double kMarginPx = 24.0;
+constexpr std::string_view kBackground = "#ffffff";
+constexpr std::string_view kRoadColor = "#c9c9c9";
+constexpr std::string_view kPStarColor = "#1f5fd7";
+constexpr std::string_view kRemovedColor = "#d7261f";
+constexpr std::string_view kSourceColor = "#1f5fd7";
+constexpr std::string_view kTargetColor = "#f2c414";
+constexpr double kRoadWidth = 1.0;
+constexpr double kPStarWidth = 3.5;
+constexpr double kRemovedWidth = 4.0;
+constexpr double kEndpointRadius = 9.0;
 
 struct Bounds {
   double min_x = std::numeric_limits<double>::infinity();
@@ -30,33 +44,31 @@ struct Bounds {
 
 class SvgWriter {
  public:
-  SvgWriter(Bounds bounds, const RenderOptions& options)
+  explicit SvgWriter(Bounds bounds)
       : bounds_(bounds),
-        options_(options),
-        scale_((options.width_px - 2 * options.margin_px) / bounds.width()),
-        height_px_(bounds.height() * scale_ + 2 * options.margin_px) {}
+        scale_((kWidthPx - 2 * kMarginPx) / bounds.width()),
+        height_px_(bounds.height() * scale_ + 2 * kMarginPx) {}
 
-  void open() {
+  void open(const std::string& title) {
     out_ << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
-         << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << options_.width_px
-         << "\" height=\"" << height_px_ << "\" viewBox=\"0 0 " << options_.width_px << " "
-         << height_px_ << "\">\n"
-         << "<rect width=\"100%\" height=\"100%\" fill=\"" << options_.background << "\"/>\n";
-    if (!options_.title.empty()) {
-      out_ << "<text x=\"" << options_.margin_px << "\" y=\"" << options_.margin_px * 0.8
-           << "\" font-family=\"sans-serif\" font-size=\"16\" fill=\"#333\">" << options_.title
+         << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << kWidthPx << "\" height=\""
+         << height_px_ << "\" viewBox=\"0 0 " << kWidthPx << " " << height_px_ << "\">\n"
+         << "<rect width=\"100%\" height=\"100%\" fill=\"" << kBackground << "\"/>\n";
+    if (!title.empty()) {
+      out_ << "<text x=\"" << kMarginPx << "\" y=\"" << kMarginPx * 0.8
+           << "\" font-family=\"sans-serif\" font-size=\"16\" fill=\"#333\">" << title
            << "</text>\n";
     }
   }
 
-  void line(double x1, double y1, double x2, double y2, const std::string& color,
+  void line(double x1, double y1, double x2, double y2, std::string_view color,
             double stroke_width) {
     out_ << "<line x1=\"" << px(x1) << "\" y1=\"" << py(y1) << "\" x2=\"" << px(x2)
          << "\" y2=\"" << py(y2) << "\" stroke=\"" << color << "\" stroke-width=\""
          << stroke_width << "\" stroke-linecap=\"round\"/>\n";
   }
 
-  void circle(double x, double y, double radius, const std::string& fill) {
+  void circle(double x, double y, double radius, std::string_view fill) {
     out_ << "<circle cx=\"" << px(x) << "\" cy=\"" << py(y) << "\" r=\"" << radius
          << "\" fill=\"" << fill << "\" stroke=\"#333\" stroke-width=\"1.5\"/>\n";
   }
@@ -68,15 +80,12 @@ class SvgWriter {
 
  private:
   // SVG y grows downward; city y grows northward.
-  [[nodiscard]] double px(double x) const {
-    return options_.margin_px + (x - bounds_.min_x) * scale_;
-  }
+  [[nodiscard]] double px(double x) const { return kMarginPx + (x - bounds_.min_x) * scale_; }
   [[nodiscard]] double py(double y) const {
-    return height_px_ - options_.margin_px - (y - bounds_.min_y) * scale_;
+    return height_px_ - kMarginPx - (y - bounds_.min_y) * scale_;
   }
 
   Bounds bounds_;
-  const RenderOptions& options_;
   double scale_;
   double height_px_;
   std::ostringstream out_;
@@ -91,14 +100,14 @@ std::string render_attack_svg(const osm::RoadNetwork& network, const Path& p_sta
   Bounds bounds;
   for (NodeId n : g.nodes()) bounds.include(g.x(n), g.y(n));
 
-  SvgWriter svg(bounds, options);
-  svg.open();
+  SvgWriter svg(bounds);
+  svg.open(options.title);
 
   std::vector<std::uint8_t> highlighted(g.num_edges(), 0);
   for (EdgeId e : p_star.edges) highlighted[e.value()] = 1;
   for (EdgeId e : removed_edges) highlighted[e.value()] = 2;
 
-  auto draw_edges = [&](std::uint8_t layer, const std::string& color, double width) {
+  auto draw_edges = [&](std::uint8_t layer, std::string_view color, double width) {
     for (EdgeId e : g.edges()) {
       if (highlighted[e.value()] != layer) continue;
       const NodeId u = g.edge_from(e);
@@ -106,12 +115,12 @@ std::string render_attack_svg(const osm::RoadNetwork& network, const Path& p_sta
       svg.line(g.x(u), g.y(u), g.x(v), g.y(v), color, width);
     }
   };
-  draw_edges(0, options.road_color, options.road_width);
-  draw_edges(1, options.p_star_color, options.p_star_width);
-  draw_edges(2, options.removed_color, options.removed_width);
+  draw_edges(0, kRoadColor, kRoadWidth);
+  draw_edges(1, kPStarColor, kPStarWidth);
+  draw_edges(2, kRemovedColor, kRemovedWidth);
 
-  svg.circle(g.x(source), g.y(source), options.endpoint_radius, options.source_color);
-  svg.circle(g.x(target), g.y(target), options.endpoint_radius, options.target_color);
+  svg.circle(g.x(source), g.y(source), kEndpointRadius, kSourceColor);
+  svg.circle(g.x(target), g.y(target), kEndpointRadius, kTargetColor);
   return svg.close();
 }
 

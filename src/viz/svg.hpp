@@ -18,22 +18,11 @@ using mts::NodeId;
 using mts::Path;
 
 struct RenderOptions {
-  double width_px = 1200.0;
-  double margin_px = 24.0;
-  std::string background = "#ffffff";
-  std::string road_color = "#c9c9c9";
-  std::string p_star_color = "#1f5fd7";
-  std::string removed_color = "#d7261f";
-  std::string source_color = "#1f5fd7";
-  std::string target_color = "#f2c414";
-  double road_width = 1.0;
-  double p_star_width = 3.5;
-  double removed_width = 4.0;
-  double endpoint_radius = 9.0;
+  /// Caption drawn in the top margin (empty = none).
   std::string title;
 };
 
-/// Renders the network with an attack overlay to an SVG string.
+/// Renders the network with an attack overlay to a 1200 px wide SVG string.
 std::string render_attack_svg(const osm::RoadNetwork& network, const Path& p_star,
                               const std::vector<EdgeId>& removed_edges, NodeId source,
                               NodeId target, const RenderOptions& options = {});

@@ -36,15 +36,6 @@ TEST(Interdiction, KeepConnectedNeverDisconnects) {
   EXPECT_LT(shortest_distance(d.wg.g, d.wg.weights, d.s, d.t, &filter), kInfiniteDistance);
 }
 
-TEST(Interdiction, DisconnectionAllowedWhenRequested) {
-  Diamond d;
-  std::vector<double> costs(d.wg.g.num_edges(), 1.0);
-  InterdictionOptions options;
-  options.keep_connected = false;
-  const auto result = interdict_route(d.wg.g, d.wg.weights, costs, d.s, d.t, 100.0, options);
-  EXPECT_EQ(result.final_distance, kInfiniteDistance);
-}
-
 TEST(Interdiction, BudgetIsRespected) {
   Diamond d;
   std::vector<double> costs(d.wg.g.num_edges(), 3.0);

@@ -69,8 +69,8 @@ TEST(Pipeline, CityToXmlToAttackToSvg) {
     ASSERT_TRUE(svg.good());
     std::string content((std::istreambuf_iterator<char>(svg)), {});
     EXPECT_NE(content.find("<svg"), std::string::npos);
-    EXPECT_NE(content.find(viz::RenderOptions{}.removed_color), std::string::npos);
-    EXPECT_NE(content.find(viz::RenderOptions{}.p_star_color), std::string::npos);
+    EXPECT_NE(content.find("stroke=\"#d7261f\""), std::string::npos);  // removed, red
+    EXPECT_NE(content.find("stroke=\"#1f5fd7\""), std::string::npos);  // p*, blue
   }
 }
 

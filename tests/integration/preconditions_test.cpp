@@ -162,7 +162,6 @@ TEST(Preconditions, Metrics) {
   DiGraph unfinalized;
   unfinalized.add_node();
   expect_precondition([&] { compute_network_metrics(unfinalized); }, "not finalized");
-  expect_precondition([] { orientation_order({10.0, 20.0}, 1); }, "at least 2 bins");
 }
 
 TEST(Preconditions, Simplex) {
@@ -197,10 +196,6 @@ TEST(Preconditions, OsmLayer) {
   // when the tests run as root).
   expect_precondition([] { osm::load_osm_xml(""); }, "cannot open");
   expect_precondition([] { osm::save_osm_xml({}, ""); }, "cannot open");
-
-  osm::BuildOptions options;
-  options.endpoint_snap_fraction = 0.75;
-  expect_precondition([&] { osm::RoadNetwork::build({}, options); }, "endpoint_snap_fraction");
 }
 
 /// One small attack instance shared by the attack-precondition cases.

@@ -275,6 +275,32 @@ class LintFixtureTest(unittest.TestCase):
                    "}\n")
         self.assert_clean()
 
+    def test_unset_option(self) -> None:
+        self.write("src/sim/sim.hpp",
+                   "#pragma once\n"
+                   "struct SimOptions {\n"
+                   "  double step_s = 1.0;\n"
+                   "  /// Nothing sets this one.\n"
+                   "  double bpr_alpha = 0.15;\n"
+                   "  int lanes{2};\n"
+                   "  [[nodiscard]] bool valid() const { return step_s > 0; }\n"
+                   "};\n")
+        self.write("bench/run.cpp",
+                   "#include \"sim/sim.hpp\"\n"
+                   "void run(SimOptions* o) {\n"
+                   "  SimOptions a{.step_s = 2.0};\n"
+                   "  o->lanes += 1;\n"
+                   "  if (a.bpr_alpha == 0.15) {}\n"
+                   "}\n")
+        proc = run_lint(self.root)
+        self.assertEqual(violations(proc), [("src/sim/sim.hpp", 5, "unset-option")],
+                         proc.stdout)
+        self.assertIn("SimOptions::bpr_alpha", proc.stdout)
+        self.write("tests/sim/sim_test.cpp",
+                   "#include \"sim/sim.hpp\"\n"
+                   "void set(SimOptions& o) { o.bpr_alpha = 0.2; }\n")
+        self.assert_clean()
+
     def test_ci_workflow_missing_file(self) -> None:
         (self.root / ".github" / "workflows" / "ci.yml").unlink()
         self.assert_fires(".github/workflows/ci.yml", 1, "ci-workflow")

@@ -66,30 +66,5 @@ TEST(GeoJson, CoordinatesAreNearTheCityAnchor) {
   EXPECT_NE(json.find(",41.8"), std::string::npos);
 }
 
-TEST(GeoJson, RoadsCanBeOmitted) {
-  const auto& net = network();
-  const NodeId s = net.intersection_nodes().front();
-  const NodeId t = net.pois().front().node;
-  GeoJsonOptions options;
-  options.roads = false;
-  Path p_star;
-  p_star.edges = {EdgeId(0)};
-  const std::string json = render_attack_geojson(net, p_star, {EdgeId(1)}, s, t, options);
-  expect_balanced(json);
-  EXPECT_EQ(json.find("\"role\":\"road\""), std::string::npos);
-  EXPECT_NE(json.find("\"role\":\"p_star\""), std::string::npos);
-}
-
-TEST(GeoJson, AttributesCanBeOmitted) {
-  const auto& net = network();
-  const NodeId s = net.intersection_nodes().front();
-  const NodeId t = net.pois().front().node;
-  GeoJsonOptions options;
-  options.attributes = false;
-  const std::string json = render_attack_geojson(net, Path{}, {}, s, t, options);
-  expect_balanced(json);
-  EXPECT_EQ(json.find("\"highway\":"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mts::viz

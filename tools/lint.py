@@ -66,6 +66,12 @@ Rules (see DESIGN.md "Correctness tooling"):
                    its own process at once, so a fixed scratch path is
                    shared and one case's cleanup deletes another's files;
                    use mts::test::unique_temp_dir()
+  unset-option     every field of a `struct ...Options` in src/ is assigned
+                   (`.field =`, `->field =`, or a designated initializer)
+                   somewhere in src/, bench/, examples/, perfbench/ or
+                   tests/ — a field nothing sets is a configuration no
+                   workload runs; make it a named constant next to its
+                   one reader instead
   ci-workflow      .github/workflows/ci.yml parses as YAML and carries a
                    job matrix covering every ci.sh leg (dev, asan, tsan)
                    plus the tidy gate, so the hosted gate can never
@@ -451,6 +457,51 @@ class Linter:
                             f"use mts::test::unique_temp_dir() (tests/test_util.hpp): "
                             f"{raw[lineno - 1].strip()}")
 
+    def check_unset_option(self) -> None:
+        # A settable field that no program, bench or test ever sets is a
+        # configuration nothing runs.  Fields are the depth-one declarations
+        # of every `struct ...Options` in src/ (member functions, having a
+        # `(`, are skipped); a setter is any `.name =` / `->name =`
+        # (compound assignment and designated initializers included) in the
+        # scanned trees, matched by name alone (a `filter` set on one struct
+        # counts for every struct's `filter`).  Both sides are collected
+        # from the whole tree, so --files mode reports only structs
+        # declared in the listed files.
+        struct = re.compile(r"\bstruct\s+(\w*Options)\s*\{")
+        field = re.compile(r"(\w+)\s*(?:=[^;]*|\{[^;]*\})?;\s*$")
+        declared: list[tuple[Path, int, str, str]] = []
+        for path in self.files(LIB_DIRS, CXX_SUFFIXES):
+            stripped = strip_code(path.read_text())
+            for match in struct.finditer(stripped):
+                depth, start = 1, match.end()
+                end = start
+                while end < len(stripped) and depth > 0:
+                    depth += {"{": 1, "}": -1}.get(stripped[end], 0)
+                    end += 1
+                body, depth = stripped[start:end - 1], 0
+                lineno = stripped.count("\n", 0, start) + 1
+                for offset, line in enumerate(body.split("\n")):
+                    outer = depth == 0
+                    depth += line.count("{") - line.count("}")
+                    decl = field.search(line)
+                    if outer and decl and "(" not in line and len(line.split()) > 1:
+                        declared.append((path, lineno + offset, match.group(1),
+                                         decl.group(1)))
+        if not declared:
+            return
+        setters = "|".join(sorted({re.escape(name) for _, _, _, name in declared}))
+        assign = re.compile(r"(?:\.|->)\s*(" + setters + r")\s*(?:[-+*/|&^]?=)(?!=)")
+        assigned: set[str] = set()
+        for base in LIB_DIRS + ["bench", "examples", "perfbench", "tests"]:
+            for path in sorted((self.root / base).rglob("*")):
+                if path.suffix in CXX_SUFFIXES:
+                    assigned.update(assign.findall(strip_code(path.read_text())))
+        for path, lineno, owner, name in declared:
+            if name not in assigned:
+                self.report(path, lineno, "unset-option",
+                            f"{owner}::{name} is set by no program, bench or test; "
+                            f"make it a named constant next to its reader")
+
     def check_ci_workflow(self) -> None:
         workflow = self.root / ".github" / "workflows" / "ci.yml"
         if self.only_files is not None and workflow.resolve() not in self.only_files:
@@ -516,6 +567,7 @@ class Linter:
         self.check_no_mutable_global()
         self.check_no_unordered_output()
         self.check_no_shared_temp_dir()
+        self.check_unset_option()
         self.check_ci_workflow()
         # Stable output order regardless of rule execution order, so diffs
         # of lint output (and the fixture tests) are deterministic.
