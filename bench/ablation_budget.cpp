@@ -38,14 +38,7 @@ int main() {
     for (Algorithm algorithm : attack::kAllAlgorithms) {
       int successes = 0;
       for (const auto& scenario : scenarios) {
-        attack::ForcePathCutProblem problem;
-        problem.graph = &network.graph();
-        problem.weights = weights;
-        problem.costs = costs;
-        problem.source = scenario.source;
-        problem.target = scenario.target;
-        problem.p_star = scenario.p_star;
-        problem.seed_paths = scenario.prefix;
+        auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
         problem.budget = budget;
         const auto result = run_attack(algorithm, problem);
         if (result.status == AttackStatus::Success) ++successes;

@@ -36,14 +36,7 @@ int main() {
   int blocked = 0;
   int runs = 0;
   for (const auto& scenario : scenarios) {
-    attack::ForcePathCutProblem problem;
-    problem.graph = &network.graph();
-    problem.weights = weights;
-    problem.costs = costs;
-    problem.source = scenario.source;
-    problem.target = scenario.target;
-    problem.p_star = scenario.p_star;
-    problem.seed_paths = scenario.prefix;
+    const auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
 
     const auto defense = attack::harden_against_force_path_cut(problem, kMaxProtected);
     if (!std::isfinite(defense.initial_attack_cost)) continue;

@@ -44,14 +44,7 @@ int main() {
     int n = 0;
     for (const auto& scenario : scenarios) {
       increase += (scenario.p_star_length / scenario.shortest_length - 1.0) * 100.0;
-      attack::ForcePathCutProblem problem;
-      problem.graph = &network.graph();
-      problem.weights = weights;
-      problem.costs = costs;
-      problem.source = scenario.source;
-      problem.target = scenario.target;
-      problem.p_star = scenario.p_star;
-      problem.seed_paths = scenario.prefix;
+      const auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
       const auto lp = run_attack(Algorithm::LpPathCover, problem);
       const auto naive = run_attack(Algorithm::GreedyEdge, problem);
       if (lp.status != attack::AttackStatus::Success ||

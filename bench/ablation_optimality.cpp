@@ -42,14 +42,7 @@ int main() {
   int certified = 0;
 
   for (const auto& scenario : scenarios) {
-    attack::ForcePathCutProblem problem;
-    problem.graph = &network.graph();
-    problem.weights = weights;
-    problem.costs = costs;
-    problem.source = scenario.source;
-    problem.target = scenario.target;
-    problem.p_star = scenario.p_star;
-    problem.seed_paths = scenario.prefix;
+    const auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
 
     const auto exact = run_exact_attack(problem);
     if (exact.status != AttackStatus::Success || !exact.proven_optimal) continue;

@@ -35,14 +35,7 @@ int main() {
     double runtime = 0.0;
     int n = 0;
     for (const auto& scenario : scenarios) {
-      attack::ForcePathCutProblem problem;
-      problem.graph = &network.graph();
-      problem.weights = weights;
-      problem.costs = costs;
-      problem.source = scenario.source;
-      problem.target = scenario.target;
-      problem.p_star = scenario.p_star;
-      problem.seed_paths = scenario.prefix;
+      const auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
       const auto result = run_attack(attack::Algorithm::GreedyPathCover, problem);
       if (result.status != attack::AttackStatus::Success) continue;
       aner += static_cast<double>(result.num_removed());

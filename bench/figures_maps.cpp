@@ -69,14 +69,7 @@ int main() {
       continue;
     }
 
-    attack::ForcePathCutProblem problem;
-    problem.graph = &network.graph();
-    problem.weights = weights;
-    problem.costs = costs;
-    problem.source = scenario->source;
-    problem.target = scenario->target;
-    problem.p_star = scenario->p_star;
-    problem.seed_paths = scenario->prefix;
+    const auto problem = exp::make_problem(network.graph(), weights, costs, *scenario);
 
     const auto result = run_attack(attack::Algorithm::GreedyPathCover, problem);
     const auto verdict = attack::verify_attack(problem, result.removed_edges);

@@ -37,14 +37,7 @@ const AttackFixture& fixture() {
 
 void BM_Attack(benchmark::State& state, attack::Algorithm algorithm) {
   const auto& f = fixture();
-  attack::ForcePathCutProblem problem;
-  problem.graph = &f.network.graph();
-  problem.weights = f.weights;
-  problem.costs = f.costs;
-  problem.source = f.scenario.source;
-  problem.target = f.scenario.target;
-  problem.p_star = f.scenario.p_star;
-  problem.seed_paths = f.scenario.prefix;
+  const auto problem = exp::make_problem(f.network.graph(), f.weights, f.costs, f.scenario);
 
   std::size_t removed = 0;
   for (auto _ : state) {

@@ -55,14 +55,7 @@ int main() {
         problem.victims.push_back(
             {scenario->source, scenario->target, scenario->p_star, scenario->prefix});
 
-        attack::ForcePathCutProblem solo;
-        solo.graph = problem.graph;
-        solo.weights = weights;
-        solo.costs = costs;
-        solo.source = scenario->source;
-        solo.target = scenario->target;
-        solo.p_star = scenario->p_star;
-        solo.seed_paths = scenario->prefix;
+        const auto solo = exp::make_problem(network.graph(), weights, costs, *scenario);
         const auto solo_result = run_attack(attack::Algorithm::GreedyPathCover, solo);
         solo_ok &= solo_result.status == AttackStatus::Success;
         solo_total += solo_result.total_cost;

@@ -43,14 +43,7 @@ int main() {
     int forced_route = 0;
     int runs = 0;
     for (const auto& scenario : scenarios) {
-      attack::ForcePathCutProblem problem;
-      problem.graph = &network.graph();
-      problem.weights = weights;
-      problem.costs = costs;
-      problem.source = scenario.source;
-      problem.target = scenario.target;
-      problem.p_star = scenario.p_star;
-      problem.seed_paths = scenario.prefix;
+      const auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
       const auto attack_result = run_attack(algorithm, problem);
       if (attack_result.status != attack::AttackStatus::Success) continue;
 

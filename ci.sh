@@ -23,6 +23,12 @@
 # DESIGN.md §11).  Without a clang-tidy on PATH it reports skipped unless
 # MTS_TIDY_STRICT=1 (CI sets it so a missing tool can never silently pass).
 #
+# The extra `coverage` leg (also its own hosted CI job) builds
+# build-coverage/ with `--coverage -O1`, runs tier-1 without `tidy`, and
+# then fails if gcov reports any src/ function that no test ran
+# (tools/unrun_functions.py; there is no allowlist: code no test runs is
+# deleted or gets a test).
+#
 # Usage: ./ci.sh [preset ...]     (default: dev asan tsan)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -221,6 +227,24 @@ for preset in "${PRESETS[@]}"; do
 
     echo "==== [bench] bench_gate (counters vs BENCH_PR19.json) ===="
     ctest --preset dev -R '^bench_gate$' --output-on-failure
+    continue
+  fi
+
+  if [ "$preset" = coverage ]; then
+    echo "==== [coverage] configure ===="
+    cmake --preset coverage
+
+    echo "==== [coverage] build ===="
+    cmake --build --preset coverage -j "$JOBS"
+
+    # Counters from an earlier run would count as this run's.
+    find build-coverage -name '*.gcda' -delete
+
+    echo "==== [coverage] ctest (tier-1 without tidy) ===="
+    ctest --preset coverage -j "$JOBS" -E '^tidy$'
+
+    echo "==== [coverage] every src/ function ran ===="
+    python3 tools/unrun_functions.py --build build-coverage --root .
     continue
   fi
 

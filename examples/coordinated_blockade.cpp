@@ -58,13 +58,7 @@ int main() {
                   " segments, cost " + format_fixed(result.total_cost, 0) + ")",
               {"Victim", "Forced Route Length (s)", "Verified Exclusive"});
   for (std::size_t i = 0; i < problem.victims.size(); ++i) {
-    attack::ForcePathCutProblem sub;
-    sub.graph = problem.graph;
-    sub.weights = weights;
-    sub.costs = costs;
-    sub.source = problem.victims[i].source;
-    sub.target = problem.victims[i].target;
-    sub.p_star = problem.victims[i].p_star;
+    const auto sub = problem.victim_problem(i);
     const auto verdict = attack::verify_attack(sub, result.removed_edges);
     table.add_row({"#" + std::to_string(i + 1),
                    format_fixed(path_length(sub.p_star.edges, weights), 1),

@@ -28,14 +28,7 @@ int main() {
     return 1;
   }
 
-  attack::ForcePathCutProblem problem;
-  problem.graph = &network.graph();
-  problem.weights = weights;
-  problem.costs = costs;
-  problem.source = scenario->source;
-  problem.target = scenario->target;
-  problem.p_star = scenario->p_star;
-  problem.seed_paths = scenario->prefix;
+  const auto problem = exp::make_problem(network.graph(), weights, costs, *scenario);
 
   std::cout << "Scenario: protect routes to " << scenario->hospital
             << " from route-forcing.\n\n";

@@ -58,14 +58,7 @@ int main(int argc, char** argv) {
     double cost = 0.0;
     bool all_verified = true;
     for (const auto& scenario : scenarios) {
-      attack::ForcePathCutProblem problem;
-      problem.graph = &network.graph();
-      problem.weights = weights;
-      problem.costs = costs;
-      problem.source = scenario.source;
-      problem.target = scenario.target;
-      problem.p_star = scenario.p_star;
-      problem.seed_paths = scenario.prefix;
+      const auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
       const auto result = run_attack(algorithm, problem);
       all_verified &= result.status == attack::AttackStatus::Success &&
                       attack::verify_attack(problem, result.removed_edges).ok;

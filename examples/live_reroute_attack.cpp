@@ -30,14 +30,7 @@ int main() {
     std::cerr << "scenario sampling failed\n";
     return 1;
   }
-  attack::ForcePathCutProblem problem;
-  problem.graph = &network.graph();
-  problem.weights = weights;
-  problem.costs = costs;
-  problem.source = scenario->source;
-  problem.target = scenario->target;
-  problem.p_star = scenario->p_star;
-  problem.seed_paths = scenario->prefix;
+  const auto problem = exp::make_problem(network.graph(), weights, costs, *scenario);
   const auto plan = run_attack(attack::Algorithm::GreedyPathCover, problem);
   if (plan.status != attack::AttackStatus::Success) {
     std::cerr << "attack planning failed\n";

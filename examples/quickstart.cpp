@@ -40,15 +40,9 @@ int main() {
             << format_fixed((scenario->p_star_length / scenario->shortest_length - 1) * 100, 1)
             << "%)\n";
 
-  // 4. Attack: make p* the exclusive shortest path.
-  attack::ForcePathCutProblem problem;
-  problem.graph = &network.graph();
-  problem.weights = weights;
-  problem.costs = costs;
-  problem.source = scenario->source;
-  problem.target = scenario->target;
-  problem.p_star = scenario->p_star;
-  problem.seed_paths = scenario->prefix;  // the 49 faster paths, from Yen
+  // 4. Attack: make p* the exclusive shortest path, seeded with the 49
+  // faster paths Yen already found.
+  const auto problem = exp::make_problem(network.graph(), weights, costs, *scenario);
 
   const auto result = run_attack(attack::Algorithm::GreedyPathCover, problem);
   if (result.status != attack::AttackStatus::Success) {

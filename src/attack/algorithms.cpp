@@ -19,6 +19,24 @@ const char* to_string(Algorithm algorithm) {
   return "?";
 }
 
+const char* algorithm_token(Algorithm algorithm) {
+  switch (algorithm) {
+    case Algorithm::LpPathCover: return "lp-pathcover";
+    case Algorithm::GreedyPathCover: return "greedy-pathcover";
+    case Algorithm::GreedyEdge: return "greedy-edge";
+    case Algorithm::GreedyEig: return "greedy-eig";
+  }
+  return "?";
+}
+
+Algorithm parse_algorithm(std::string_view token) {
+  for (const Algorithm algorithm : kAllAlgorithms) {
+    if (token == algorithm_token(algorithm)) return algorithm;
+  }
+  throw InvalidInput("unknown algorithm '" + std::string(token) +
+                     "' (lp-pathcover|greedy-pathcover|greedy-edge|greedy-eig)");
+}
+
 const char* to_string(AttackStatus status) {
   switch (status) {
     case AttackStatus::Success: return "success";

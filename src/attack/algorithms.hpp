@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "attack/problem.hpp"
 #include "core/budget.hpp"
@@ -23,6 +24,15 @@ namespace mts::attack {
 enum class Algorithm { LpPathCover, GreedyPathCover, GreedyEdge, GreedyEig };
 
 const char* to_string(Algorithm algorithm);
+
+/// The lowercase hyphenated token the CLI's --algorithm flag and the wire
+/// protocol's attack verb both spell an algorithm with ("lp-pathcover",
+/// "greedy-pathcover", "greedy-edge", "greedy-eig"); to_string() gives the
+/// paper's display name instead.
+const char* algorithm_token(Algorithm algorithm);
+
+/// Inverse of algorithm_token().  Throws InvalidInput naming the token.
+Algorithm parse_algorithm(std::string_view token);
 
 inline constexpr Algorithm kAllAlgorithms[] = {Algorithm::LpPathCover,
                                                Algorithm::GreedyPathCover, Algorithm::GreedyEdge,

@@ -1,5 +1,6 @@
 #include "attack/models.hpp"
 
+#include "core/error.hpp"
 #include "core/units.hpp"
 
 namespace mts::attack {
@@ -10,6 +11,17 @@ const char* to_string(WeightType type) {
     case WeightType::Time: return "TIME";
   }
   return "?";
+}
+
+const char* weight_token(WeightType type) {
+  return type == WeightType::Time ? "time" : "length";
+}
+
+WeightType parse_weight(std::string_view token) {
+  for (const WeightType type : kAllWeightTypes) {
+    if (token == weight_token(type)) return type;
+  }
+  throw InvalidInput("unknown weight '" + std::string(token) + "' (time|length)");
 }
 
 const char* to_string(CostType type) {

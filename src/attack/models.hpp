@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "osm/road_network.hpp"
@@ -24,6 +25,14 @@ enum class CostType {
 
 const char* to_string(WeightType type);
 const char* to_string(CostType type);
+
+/// The lowercase token the CLI's --weight flag and the wire protocol both
+/// spell a weight with ("time", "length"); to_string() gives the paper's
+/// display name instead.
+const char* weight_token(WeightType type);
+
+/// Inverse of weight_token().  Throws InvalidInput naming the token.
+WeightType parse_weight(std::string_view token);
 
 inline constexpr WeightType kAllWeightTypes[] = {WeightType::Length, WeightType::Time};
 inline constexpr CostType kAllCostTypes[] = {CostType::Uniform, CostType::Lanes,

@@ -6,6 +6,20 @@
 
 namespace mts::attack {
 
+ForcePathCutProblem MultiVictimProblem::victim_problem(std::size_t i) const {
+  const Victim& victim = victims[i];
+  ForcePathCutProblem problem;
+  problem.graph = graph;
+  problem.weights = weights;
+  problem.costs = costs;
+  problem.source = victim.source;
+  problem.target = victim.target;
+  problem.p_star = victim.p_star;
+  problem.budget = budget;
+  problem.seed_paths = victim.seed_paths;
+  return problem;
+}
+
 MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem) {
   require(problem.graph != nullptr, "multi_victim: null graph");
   require(problem.weights.size() == problem.graph->num_edges(),
@@ -22,17 +36,8 @@ MultiVictimResult run_multi_victim_attack(const MultiVictimProblem& problem) {
   std::vector<ExclusivityOracle> oracles;
   oracles.reserve(problem.victims.size());
   for (std::size_t i = 0; i < problem.victims.size(); ++i) {
-    const Victim& victim = problem.victims[i];
-    ForcePathCutProblem& sub = sub_problems[i];
-    sub.graph = problem.graph;
-    sub.weights = problem.weights;
-    sub.costs = problem.costs;
-    sub.source = victim.source;
-    sub.target = victim.target;
-    sub.p_star = victim.p_star;
-    sub.budget = problem.budget;
-    sub.seed_paths = victim.seed_paths;
-    oracles.emplace_back(sub);
+    sub_problems[i] = problem.victim_problem(i);
+    oracles.emplace_back(sub_problems[i]);
   }
 
   PathCoverResult run = run_path_cover(oracles, solve_covering_greedy);

@@ -28,6 +28,10 @@ struct MultiVictimProblem {
   std::span<const double> costs;
   std::vector<Victim> victims;
   double budget = std::numeric_limits<double>::infinity();
+
+  /// Victim `i`'s own Force Path Cut problem over the shared graph,
+  /// weights, costs and budget.
+  [[nodiscard]] ForcePathCutProblem victim_problem(std::size_t i) const;
 };
 
 struct MultiVictimResult : AttackResult {

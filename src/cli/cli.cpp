@@ -6,7 +6,6 @@
 #include <fstream>
 #include <initializer_list>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string_view>
 
@@ -21,7 +20,6 @@
 #include "core/error.hpp"
 #include "core/table.hpp"
 #include "exp/json_report.hpp"
-#include "exp/obs_flush.hpp"
 #include "exp/scenario.hpp"
 #include "graph/metrics.hpp"
 #include "net/loadgen.hpp"
@@ -123,21 +121,6 @@ citygen::City parse_city(const std::string& name) {
   throw InvalidInput("unknown city '" + name + "' (boston|sf|chicago|la)");
 }
 
-attack::Algorithm parse_algorithm(const std::string& name) {
-  if (name == "lp-pathcover") return attack::Algorithm::LpPathCover;
-  if (name == "greedy-pathcover") return attack::Algorithm::GreedyPathCover;
-  if (name == "greedy-edge") return attack::Algorithm::GreedyEdge;
-  if (name == "greedy-eig") return attack::Algorithm::GreedyEig;
-  throw InvalidInput("unknown algorithm '" + name +
-                     "' (lp-pathcover|greedy-pathcover|greedy-edge|greedy-eig)");
-}
-
-attack::WeightType parse_weight(const std::string& name) {
-  if (name == "time") return attack::WeightType::Time;
-  if (name == "length") return attack::WeightType::Length;
-  throw InvalidInput("unknown weight '" + name + "' (time|length)");
-}
-
 attack::CostType parse_cost(const std::string& name) {
   if (name == "uniform") return attack::CostType::Uniform;
   if (name == "lanes") return attack::CostType::Lanes;
@@ -211,9 +194,10 @@ int cmd_attack(const Flags& flags, std::ostream& out, std::ostream& err) {
   const std::string trace_base = flags.get("trace", "");
   if (!trace_base.empty()) obs::set_trace_enabled(true);
   const auto network = load_network(flags);
-  const auto weights = attack::make_weights(network, parse_weight(flags.get("weight", "time")));
+  const auto weights =
+      attack::make_weights(network, attack::parse_weight(flags.get("weight", "time")));
   const auto costs = attack::make_costs(network, parse_cost(flags.get("cost", "uniform")));
-  const auto algorithm = parse_algorithm(flags.get("algorithm", "greedy-pathcover"));
+  const auto algorithm = attack::parse_algorithm(flags.get("algorithm", "greedy-pathcover"));
 
   Rng rng(parse_seed(flags));
   exp::ScenarioOptions options;
@@ -226,14 +210,8 @@ int cmd_attack(const Flags& flags, std::ostream& out, std::ostream& err) {
     return 1;
   }
 
-  attack::ForcePathCutProblem problem;
-  problem.graph = &network.graph();
-  problem.weights = weights;
-  problem.costs = costs;
-  problem.source = scenario->source;
-  problem.target = scenario->target;
-  problem.p_star = scenario->p_star;
-  problem.seed_paths = scenario->prefix;
+  attack::ForcePathCutProblem problem =
+      exp::make_problem(network.graph(), weights, costs, *scenario);
   problem.budget = parse_budget(flags, problem.budget);
 
   const auto result = run_attack(algorithm, problem);
@@ -297,7 +275,8 @@ int cmd_isolate(const Flags& flags, std::ostream& out) {
 
 int cmd_interdict(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto network = load_network(flags);
-  const auto weights = attack::make_weights(network, parse_weight(flags.get("weight", "time")));
+  const auto weights =
+      attack::make_weights(network, attack::parse_weight(flags.get("weight", "time")));
   const auto costs = attack::make_costs(network, parse_cost(flags.get("cost", "uniform")));
   const auto& poi = network.pois()[hospital_index(network, flags)];
 
@@ -329,12 +308,6 @@ std::atomic<bool>& routed_stop_flag() {
 }
 
 void handle_stop_signal(int) { routed_stop_flag().store(true); }
-
-net::WeightKind parse_wire_weight(const std::string& name) {
-  if (name == "time") return net::WeightKind::Time;
-  if (name == "length") return net::WeightKind::Length;
-  throw InvalidInput("unknown weight '" + name + "' (time|length)");
-}
 
 /// Client-side port resolution: --port-file (written by `mts routed`),
 /// else --port, else MTS_PORT.  `require_positive` demands a concrete port
@@ -398,22 +371,15 @@ int cmd_routed(const Flags& flags, std::ostream& out, std::ostream& err) {
   options.deadline_s = seconds_from_ms("MTS_DEADLINE_MS");
   options.write_timeout_s = seconds_from_ms("MTS_WRITE_TIMEOUT_MS");
 
-  // MTS_METRICS_INTERVAL (seconds) arms the periodic snapshot flusher; it
-  // implies metrics recording, since an all-zero artifact helps nobody.
-  const double metrics_interval_s = env_double("MTS_METRICS_INTERVAL", 0.0);
-  if (metrics_interval_s < 0.0) {
-    throw InvalidInput("MTS_METRICS_INTERVAL must be >= 0 (seconds)");
-  }
-  std::optional<exp::PeriodicMetricsFlusher> flusher;
-  if (metrics_interval_s > 0.0) {
-    obs::set_metrics_enabled(true);
-    flusher.emplace(obs_base.empty() ? "routed" : obs_base, metrics_interval_s);
-  }
-
   const net::Snapshot snapshot = net::Snapshot::load(flags.require_flag("osm"));
   net::RoutedServer server(snapshot, options);
   server.start();
 
+  // The handlers go in before the port file appears: a supervisor that
+  // signals as soon as it reads the port must get a drain, not a kill.
+  routed_stop_flag().store(false);
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
   const std::string port_file = flags.get("port-file", "");
   if (!port_file.empty()) {
     std::ofstream file(port_file);
@@ -423,12 +389,7 @@ int cmd_routed(const Flags& flags, std::ostream& out, std::ostream& err) {
   err << "[routed] serving " << snapshot.num_nodes() << " nodes / " << snapshot.num_edges()
       << " edges on " << options.host << ":" << server.port() << "\n";
 
-  routed_stop_flag().store(false);
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-  if (flusher) flusher->start();
   server.serve(&routed_stop_flag());
-  if (flusher) flusher->stop();  // final flush covers the whole run
 
   const net::RoutedStats stats = server.stats();
   out << "routed: connections=" << stats.connections << " requests=" << stats.requests
@@ -468,7 +429,7 @@ int cmd_loadgen(const Flags& flags, std::ostream& out) {
   options.window = static_cast<std::size_t>(window);
   options.seed = parse_seed(flags);
   options.mix = net::parse_mix(flags.get("mix", "route"));
-  options.weight = parse_wire_weight(flags.get("weight", "time"));
+  options.weight = attack::parse_weight(flags.get("weight", "time"));
   const long k = flags.get_int("k", 4);
   if (k < 1 || k > static_cast<long>(net::kMaxAlternatives)) {
     throw InvalidInput("--k must be in [1, " + std::to_string(net::kMaxAlternatives) + "]");
@@ -551,11 +512,10 @@ std::string usage() {
          "  routed     --osm FILE.osm [--host H] [--port P] [--port-file F] [--threads N]\n"
          "             [--budget edges=N,pivots=N,spurs=N] [--obs BASE] [--slowlog FILE]\n"
          "             serves route/kalt/table/attack/stats queries; SIGINT/SIGTERM\n"
-         "             drains and exits.  MTS_SLOWLOG=<ms> arms the slow-query log,\n"
-         "             MTS_METRICS_INTERVAL=<s> the periodic metrics flush.  Overload\n"
-         "             knobs: MTS_MAX_INFLIGHT / MTS_MAX_QUEUE (admission control),\n"
-         "             MTS_DEADLINE_MS (per-request deadline), MTS_WRITE_TIMEOUT_MS\n"
-         "             (slow-client eviction); all default off\n"
+         "             drains and exits.  MTS_SLOWLOG=<ms> arms the slow-query log.\n"
+         "             Overload knobs: MTS_MAX_INFLIGHT / MTS_MAX_QUEUE (admission\n"
+         "             control), MTS_DEADLINE_MS (per-request deadline),\n"
+         "             MTS_WRITE_TIMEOUT_MS (slow-client eviction); all default off\n"
          "  stats      --port P | --port-file F [--host H]\n"
          "             prints a live daemon's stats snapshot, one key=value per line\n"
          "  loadgen    --port P | --port-file F [--host H] [--requests N] [--connections C]\n"

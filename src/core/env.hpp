@@ -31,10 +31,6 @@
 //               requests at/over it (or failing) append one JSONL line to
 //               the --slowlog file (default routed_slowlog.jsonl); unset
 //               or 0 (default) writes nothing
-// MTS_METRICS_INTERVAL
-//               seconds between periodic metrics-snapshot flushes while
-//               `mts routed` serves (implies MTS_METRICS=1); unset or 0
-//               (default) = no periodic flush, artifacts only at exit
 // MTS_MAX_INFLIGHT
 //               `mts routed` per-connection cap on parsed-but-unanswered
 //               requests; a connection over the cap gets `err <id>

@@ -162,16 +162,6 @@ void FaultRegistry::reset() {
   detail::g_faults_override.store(0, std::memory_order_relaxed);
 }
 
-std::vector<std::string> FaultRegistry::point_names() const {
-  Impl& im = impl();
-  MutexLock lock(im.mutex);
-  const std::size_t n = im.count.load(std::memory_order_relaxed);
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) names.push_back(im.points[i].name);
-  return names;
-}
-
 void throw_injected(const char* name, Action action) {
   throw FaultInjected(std::string("fault injected at ") + name + " (action " +
                       to_string(action) + ")");

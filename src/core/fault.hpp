@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/error.hpp"
 
@@ -115,9 +114,6 @@ class FaultRegistry {
   /// Disarms every point, zeroes hit counts, and forces faults_enabled()
   /// off.  For test isolation.
   void reset();
-
-  /// Names of all currently registered points, in registration order.
-  [[nodiscard]] std::vector<std::string> point_names() const;
 
  private:
   FaultRegistry() = default;

@@ -18,7 +18,6 @@
 // under the lock).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -78,14 +77,6 @@ class CondVar {
   /// Atomically releases `lock`, blocks, and re-acquires before returning.
   /// Spurious wakeups happen; always wait in a condition loop.
   void wait(MutexLock& lock) { cv_.wait(lock); }
-
-  /// Timed wait: returns false on timeout, true when notified.  Same
-  /// discipline as wait() — re-check the condition either way (periodic
-  /// loops use the timeout as their tick).
-  bool wait_for_seconds(MutexLock& lock, double seconds) {
-    return cv_.wait_for(lock, std::chrono::duration<double>(seconds)) ==
-           std::cv_status::no_timeout;
-  }
 
  private:
   std::condition_variable_any cv_;

@@ -1,5 +1,6 @@
 #include "exp/checkpoint.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -54,22 +55,29 @@ bool parse_string(const std::string& line, const char* key, std::string& out) {
   return true;
 }
 
+/// A number's field ends exactly at the next key or the record's end:
+/// "7x," or "7 }" is a corrupt value, not 7.
+bool ends_field(const char* end) { return *end == ',' || *end == '}'; }
+
 bool parse_double(const std::string& line, const char* key, double& out) {
   const std::size_t pos = value_pos(line, key);
   if (pos == std::string::npos) return false;
   const char* start = line.c_str() + pos;
   char* end = nullptr;
   out = std::strtod(start, &end);
-  return end != start;
+  return end != start && ends_field(end);
 }
 
 bool parse_u64(const std::string& line, const char* key, std::uint64_t& out) {
   const std::size_t pos = value_pos(line, key);
   if (pos == std::string::npos) return false;
   const char* start = line.c_str() + pos;
+  // strtoull would skip spaces and wrap "-1" to 2^64 - 1: digits only.
+  if (*start < '0' || *start > '9') return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtoull(start, &end, 10);
-  return end != start;
+  return errno != ERANGE && ends_field(end);
 }
 
 bool parse_bool(const std::string& line, const char* key, bool& out) {

@@ -11,6 +11,19 @@
 
 namespace mts::exp {
 
+attack::ForcePathCutProblem make_problem(const DiGraph& graph, std::span<const double> weights,
+                                         std::span<const double> costs, const Scenario& sampled) {
+  attack::ForcePathCutProblem problem;
+  problem.graph = &graph;
+  problem.weights = weights;
+  problem.costs = costs;
+  problem.source = sampled.source;
+  problem.target = sampled.target;
+  problem.p_star = sampled.p_star;
+  problem.seed_paths = sampled.prefix;
+  return problem;
+}
+
 /// Resampling attempts per scenario before giving up (sources too close to
 /// the hospital may not have `path_rank` distinct simple paths).
 constexpr int kMaxAttempts = 40;
@@ -31,7 +44,7 @@ std::optional<Scenario> sample_scenario(const osm::RoadNetwork& network,
   require(!intersections.empty(), "sample_scenario: no intersections");
 
   const double mean_segment = compute_network_metrics(g).mean_segment_length;
-  const double min_separation = options.min_separation_segments * mean_segment;
+  const double min_separation = kMinSeparationSegments * mean_segment;
 
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const NodeId source = intersections[rng.uniform_index(intersections.size())];

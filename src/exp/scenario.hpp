@@ -8,9 +8,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "attack/problem.hpp"
 #include "core/rng.hpp"
 #include "graph/path.hpp"
 #include "osm/road_network.hpp"
@@ -37,12 +39,20 @@ struct Scenario {
   double yen_seconds = 0.0;  // time spent ranking paths (preprocessing)
 };
 
+/// Minimum straight-line source-hospital separation, in multiples of the
+/// network's mean segment length (avoids trivial adjacent sources).
+inline constexpr double kMinSeparationSegments = 8.0;
+
 struct ScenarioOptions {
   int path_rank = 100;
-  /// Minimum straight-line source-hospital separation, in multiples of the
-  /// network's mean segment length (avoids trivial adjacent sources).
-  double min_separation_segments = 8.0;
 };
+
+/// The Force Path Cut problem a sampled scenario poses under one cost
+/// model (paper §III-A): force its p*, with ranks 1 .. path_rank-1 as the
+/// seed constraints.  Budget, protected edges and `ch` keep their defaults
+/// for the caller to set.  The graph and spans must outlive the problem.
+attack::ForcePathCutProblem make_problem(const DiGraph& graph, std::span<const double> weights,
+                                         std::span<const double> costs, const Scenario& sampled);
 
 /// Samples `count` scenarios, rotating through the network's hospitals
 /// (paper: 10 sources x 4 hospitals).  Returns fewer if sampling fails

@@ -98,14 +98,7 @@ CityTableResult run_city_table_on(const osm::RoadNetwork& network,
   problems.reserve(scenarios.size() * kNumCostTypes);
   for (const Scenario& scenario : scenarios) {
     for (std::size_t ci = 0; ci < kNumCostTypes; ++ci) {
-      ForcePathCutProblem problem;
-      problem.graph = &network.graph();
-      problem.weights = weights;
-      problem.costs = costs[ci];
-      problem.source = scenario.source;
-      problem.target = scenario.target;
-      problem.p_star = scenario.p_star;
-      problem.seed_paths = scenario.prefix;
+      ForcePathCutProblem problem = make_problem(network.graph(), weights, costs[ci], scenario);
       problem.ch = ch_assets.get();
       problems.push_back(std::move(problem));
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -28,7 +27,6 @@ bool covers_all(const CoveringProblem& problem, const std::vector<std::uint8_t>&
   return true;
 }
 
-constexpr double kNoSolution = std::numeric_limits<double>::infinity();
 /// Randomized-rounding attempts on top of the deterministic sweep.
 constexpr std::size_t kRandomizedAttempts = 8;
 /// Branch-and-bound node cap for solve_covering_exact.
@@ -99,28 +97,22 @@ CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
   }
   solution.lp_lower_bound = lp_result.objective;
 
-  const std::size_t n = problem.costs.size();
-  std::vector<std::uint8_t> best(n, 0);
-  double best_cost = kNoSolution;
-
   // Deterministic sweep: add elements in descending fractional value until
-  // covered, then prune.
-  {
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return lp_result.x[a] > lp_result.x[b]; });
-    std::vector<std::uint8_t> picked(n, 0);
-    for (std::size_t j : order) {
-      if (covers_all(problem, picked)) break;
-      picked[j] = 1;
-    }
-    if (covers_all(problem, picked)) {
-      prune(problem, picked);
-      best = picked;
-      best_cost = total_cost(problem, picked);
-    }
+  // covered, then prune.  It always covers (every set is non-empty, so
+  // taking every element would), which makes it the baseline the
+  // randomized attempts below must beat.
+  const std::size_t n = problem.costs.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return lp_result.x[a] > lp_result.x[b]; });
+  std::vector<std::uint8_t> best(n, 0);
+  for (std::size_t j : order) {
+    if (covers_all(problem, best)) break;
+    best[j] = 1;
   }
+  prune(problem, best);
+  double best_cost = total_cost(problem, best);
 
   // Randomized rounding: include j with probability min(1, scale * x_j),
   // escalating scale until valid; keep the cheapest result.
@@ -141,14 +133,6 @@ CoveringSolution solve_covering_lp(const CoveringProblem& problem, Rng& rng,
       best = picked;
       best_cost = cost;
     }
-  }
-
-  if (best_cost == kNoSolution) {
-    // Extremely unlikely fallback: take everything, then prune.
-    std::vector<std::uint8_t> picked(n, 1);
-    prune(problem, picked);
-    best = picked;
-    best_cost = total_cost(problem, picked);
   }
 
   solution.feasible = true;

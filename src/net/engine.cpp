@@ -1,6 +1,5 @@
 #include "net/engine.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "core/error.hpp"
 #include "core/fault.hpp"
 #include "graph/path.hpp"
-#include "obs/metrics.hpp"
 
 namespace mts::net {
 
@@ -25,30 +23,10 @@ Response ok_response(std::uint64_t id, const char* verb) {
   return response;
 }
 
-bool stats_relevant(const std::string& name) {
-  return name.rfind("routed.", 0) == 0 || name.rfind("dijkstra.", 0) == 0 ||
-         name.rfind("yen.", 0) == 0 || name.rfind("ch.", 0) == 0;
-}
+/// The snapshot picks a weight vector and CH by this flag.
+bool time_weighted(const Request& request) { return request.weight == attack::WeightType::Time; }
 
 }  // namespace
-
-void append_registry_stats(Response& response) {
-  const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::instance().snapshot();
-  for (const auto& counter : snapshot.counters) {
-    if (!stats_relevant(counter.name)) continue;
-    response.fields.emplace_back(counter.name, std::to_string(counter.value));
-  }
-  for (const auto& hist : snapshot.histograms) {
-    if (!stats_relevant(hist.name)) continue;
-    response.fields.emplace_back(hist.name + ".count", std::to_string(hist.count));
-    response.fields.emplace_back(hist.name + ".p50", format_wire_double(hist.quantile(0.50)));
-    response.fields.emplace_back(hist.name + ".p99", format_wire_double(hist.quantile(0.99)));
-  }
-  // One global key sort across everything accumulated so far (including
-  // any server.*/window.* fields the caller added first): the stats wire
-  // format promises sorted keys regardless of which layer contributed.
-  std::sort(response.fields.begin(), response.fields.end());
-}
 
 QueryEngine::QueryEngine(const Snapshot& snapshot, const WorkBudget& budget_template)
     : snapshot_(&snapshot), budget_template_(budget_template) {}
@@ -92,14 +70,6 @@ Response QueryEngine::dispatch(const Request& request, WorkBudget& budget) {
       response.fields.emplace_back("pois", std::to_string(snapshot_->num_pois()));
       return response;
     }
-    case Verb::Stats: {
-      // The engine answers with the registry slice it can see; the server
-      // intercepts this verb before the queue to add its own always-on
-      // server.* / window.* fields (net/server.cpp).
-      Response response = ok_response(request.id, "stats");
-      append_registry_stats(response);
-      return response;
-    }
     case Verb::Route:
       return route(request, budget);
     case Verb::Kalt:
@@ -108,17 +78,18 @@ Response QueryEngine::dispatch(const Request& request, WorkBudget& budget) {
       return table(request, budget);
     case Verb::Attack:
       return attack(request, budget);
+    case Verb::Stats:
+      break;  // the server's reader answers it inline (net/server.cpp)
   }
   throw InvalidInput("unhandled request verb");
 }
 
 const ContractionHierarchy& QueryEngine::ch_for(const Request& request) const {
-  return snapshot_->ch(request.weight == WeightKind::Time);
+  return snapshot_->ch(time_weighted(request));
 }
 
 ChTableQuery& QueryEngine::table_query_for(const Request& request) {
-  std::unique_ptr<ChTableQuery>& slot =
-      request.weight == WeightKind::Time ? time_table_ : length_table_;
+  std::unique_ptr<ChTableQuery>& slot = time_weighted(request) ? time_table_ : length_table_;
   if (slot == nullptr) slot = std::make_unique<ChTableQuery>(ch_for(request));
   return *slot;
 }
@@ -131,7 +102,7 @@ std::optional<Path> QueryEngine::ch_path(const Request& request, WorkBudget& bud
                                       ch_workspace_, &budget);
   if (result.path) {
     result.path->length =
-        path_length(result.path->edges, snapshot_->weights(request.weight == WeightKind::Time));
+        path_length(result.path->edges, snapshot_->weights(time_weighted(request)));
   }
   return std::move(result.path);
 }
@@ -198,7 +169,7 @@ Response QueryEngine::alternatives(const Request& request, WorkBudget& budget) {
   }
   const YenOptions options = ranking_options(request, budget, first);
   const std::vector<Path> paths =
-      yen_ksp(snapshot_->graph(), snapshot_->weights(request.weight == WeightKind::Time),
+      yen_ksp(snapshot_->graph(), snapshot_->weights(time_weighted(request)),
               NodeId(request.source), NodeId(request.target), request.k, options);
 
   Response response = ok_response(request.id, "kalt");
@@ -250,7 +221,7 @@ Response QueryEngine::attack(const Request& request, WorkBudget& budget) {
     throw InvalidInput("attack requires distinct endpoints, got node " +
                        std::to_string(request.source) + " twice");
   }
-  const auto& weights = snapshot_->weights(request.weight == WeightKind::Time);
+  const auto& weights = snapshot_->weights(time_weighted(request));
 
   // No path at all: yen_ksp returns empty and the rank-unavailable branch
   // answers.

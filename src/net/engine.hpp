@@ -74,12 +74,4 @@ class QueryEngine {
   std::unique_ptr<ChTableQuery> length_table_;
 };
 
-/// Appends the registry's `routed.*` / `dijkstra.*` / `yen.*` / `ch.*`
-/// slice to a stats response: every matching counter as `name=value` and every
-/// matching histogram as `name.count` / `name.p50` / `name.p99` (quantile
-/// estimates over the log buckets).  Key order follows the registry's
-/// name-sorted snapshot, so responses are deterministic; values are all
-/// zero until MTS_METRICS/MTS_TRACE (or --obs) turns recording on.
-void append_registry_stats(Response& response);
-
 }  // namespace mts::net

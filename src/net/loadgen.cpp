@@ -6,6 +6,7 @@
 #include <exception>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string_view>
 #include <thread>
@@ -80,9 +81,8 @@ std::size_t query_num_nodes(const std::string& host, std::uint16_t port) {
   probe.id = 0;
   const Response response = request_once(host, port, probe);
   if (!response.ok) throw Error("loadgen: graph probe failed: " + response.error);
-  const std::string nodes = response.field("nodes");
-  require(!nodes.empty(), "loadgen: graph response missing nodes=");
-  return static_cast<std::size_t>(std::stoull(nodes));
+  return static_cast<std::size_t>(parse_wire_u64(response.field("nodes"), "graph nodes",
+                                                  std::numeric_limits<std::uint32_t>::max()));
 }
 
 void replay_connection(const std::string& host, std::uint16_t port,

@@ -34,7 +34,7 @@ struct LoadgenOptions {
   Mix mix = Mix::Route;
   std::uint32_t kalt_k = 4;       // k for kalt requests
   std::uint32_t attack_rank = 8;  // forced path rank for attack requests
-  WeightKind weight = WeightKind::Time;
+  attack::WeightType weight = attack::WeightType::Time;
   /// Overload-aware client behavior (both default off, so a replay with an
   /// unarmed server sends byte-identical wire traffic to the pre-overload
   /// client).  `max_reconnects` lets a connection that dies mid-load dial

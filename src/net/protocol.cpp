@@ -27,54 +27,6 @@ std::vector<std::string_view> split_tokens(std::string_view line) {
   return tokens;
 }
 
-std::uint64_t parse_u64(std::string_view token, const char* what, std::uint64_t max_value) {
-  if (token.empty()) throw InvalidInput(std::string(what) + ": empty token");
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      throw InvalidInput(std::string(what) + " expects a non-negative integer, got '" +
-                         std::string(token) + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      throw InvalidInput(std::string(what) + " overflows: '" + std::string(token) + "'");
-    }
-    value = value * 10 + digit;
-  }
-  if (value > max_value) {
-    throw InvalidInput(std::string(what) + " out of range (max " + std::to_string(max_value) +
-                       "): '" + std::string(token) + "'");
-  }
-  return value;
-}
-
-WeightKind parse_weight_kind(std::string_view token) {
-  if (token == "time") return WeightKind::Time;
-  if (token == "length") return WeightKind::Length;
-  throw InvalidInput("unknown weight '" + std::string(token) + "' (time|length)");
-}
-
-/// Wire spelling of an algorithm (attack::to_string uses CamelCase display
-/// names; the protocol wants the CLI's lowercase hyphenated tokens).
-const char* algorithm_token(attack::Algorithm algorithm) {
-  switch (algorithm) {
-    case attack::Algorithm::LpPathCover: return "lp-pathcover";
-    case attack::Algorithm::GreedyPathCover: return "greedy-pathcover";
-    case attack::Algorithm::GreedyEdge: return "greedy-edge";
-    case attack::Algorithm::GreedyEig: return "greedy-eig";
-  }
-  return "?";
-}
-
-attack::Algorithm parse_algorithm_token(std::string_view token) {
-  if (token == "lp-pathcover") return attack::Algorithm::LpPathCover;
-  if (token == "greedy-pathcover") return attack::Algorithm::GreedyPathCover;
-  if (token == "greedy-edge") return attack::Algorithm::GreedyEdge;
-  if (token == "greedy-eig") return attack::Algorithm::GreedyEig;
-  throw InvalidInput("unknown algorithm '" + std::string(token) +
-                     "' (lp-pathcover|greedy-pathcover|greedy-edge|greedy-eig)");
-}
-
 constexpr std::string_view kDeadlineKey = "deadline=";
 
 /// Consumes the optional trailing weight and `deadline=<ms>` tokens (in
@@ -82,13 +34,13 @@ constexpr std::string_view kDeadlineKey = "deadline=";
 void finish_request(Request& request, const std::vector<std::string_view>& tokens,
                     std::size_t next) {
   if (next < tokens.size() && tokens[next].substr(0, kDeadlineKey.size()) != kDeadlineKey) {
-    request.weight = parse_weight_kind(tokens[next]);
+    request.weight = attack::parse_weight(tokens[next]);
     ++next;
   }
   if (next < tokens.size() && tokens[next].substr(0, kDeadlineKey.size()) == kDeadlineKey) {
     const std::string_view value = tokens[next].substr(kDeadlineKey.size());
     request.deadline_ms =
-        static_cast<std::uint32_t>(parse_u64(value, "deadline", kMaxDeadlineMs));
+        static_cast<std::uint32_t>(parse_wire_u64(value, "deadline", kMaxDeadlineMs));
     if (request.deadline_ms == 0) throw InvalidInput("deadline must be >= 1 ms");
     ++next;
   }
@@ -101,7 +53,7 @@ void finish_request(Request& request, const std::vector<std::string_view>& token
 constexpr std::uint64_t kMaxNode = std::numeric_limits<std::uint32_t>::max();
 
 /// Parses a table side: comma-separated node ids, 1..kMaxTableDim entries.
-/// Empty entries ("1,,2", trailing comma) are rejected by parse_u64.
+/// Empty entries ("1,,2", trailing comma) are rejected by parse_wire_u64.
 std::vector<std::uint32_t> parse_node_list(std::string_view token, const char* what) {
   std::vector<std::uint32_t> nodes;
   std::size_t start = 0;
@@ -109,7 +61,7 @@ std::vector<std::uint32_t> parse_node_list(std::string_view token, const char* w
     const std::size_t comma = token.find(',', start);
     const std::string_view item =
         comma == std::string_view::npos ? token.substr(start) : token.substr(start, comma - start);
-    nodes.push_back(static_cast<std::uint32_t>(parse_u64(item, what, kMaxNode)));
+    nodes.push_back(static_cast<std::uint32_t>(parse_wire_u64(item, what, kMaxNode)));
     if (comma == std::string_view::npos) break;
     start = comma + 1;
   }
@@ -131,8 +83,25 @@ std::string join_node_list(const std::vector<std::uint32_t>& nodes) {
 
 }  // namespace
 
-const char* to_string(WeightKind kind) {
-  return kind == WeightKind::Time ? "time" : "length";
+std::uint64_t parse_wire_u64(std::string_view token, const char* what, std::uint64_t max_value) {
+  if (token.empty()) throw InvalidInput(std::string(what) + ": empty token");
+  std::uint64_t value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') {
+      throw InvalidInput(std::string(what) + " expects a non-negative integer, got '" +
+                         std::string(token) + "'");
+    }
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      throw InvalidInput(std::string(what) + " overflows: '" + std::string(token) + "'");
+    }
+    value = value * 10 + digit;
+  }
+  if (value > max_value) {
+    throw InvalidInput(std::string(what) + " out of range (max " + std::to_string(max_value) +
+                       "): '" + std::string(token) + "'");
+  }
+  return value;
 }
 
 const char* to_string(Verb verb) {
@@ -161,7 +130,7 @@ Request parse_request(std::string_view line) {
   Request request;
   const std::string_view verb = tokens[0];
   if (tokens.size() < 2) throw InvalidInput("request '" + std::string(verb) + "' missing id");
-  request.id = parse_u64(tokens[1], "id", std::numeric_limits<std::uint64_t>::max());
+  request.id = parse_wire_u64(tokens[1], "id", std::numeric_limits<std::uint64_t>::max());
 
   auto need = [&](std::size_t count, const char* shape) {
     if (tokens.size() < count) {
@@ -169,7 +138,7 @@ Request parse_request(std::string_view line) {
     }
   };
   auto node = [&](std::size_t index, const char* what) {
-    return static_cast<std::uint32_t>(parse_u64(tokens[index], what, kMaxNode));
+    return static_cast<std::uint32_t>(parse_wire_u64(tokens[index], what, kMaxNode));
   };
 
   if (verb == "ping") {
@@ -192,7 +161,7 @@ Request parse_request(std::string_view line) {
     need(5, "<id> <src> <dst> <k> [time|length]");
     request.source = node(2, "src");
     request.target = node(3, "dst");
-    request.k = static_cast<std::uint32_t>(parse_u64(tokens[4], "k", kMaxAlternatives));
+    request.k = static_cast<std::uint32_t>(parse_wire_u64(tokens[4], "k", kMaxAlternatives));
     if (request.k == 0) throw InvalidInput("k must be >= 1");
     finish_request(request, tokens, 5);
   } else if (verb == "table") {
@@ -206,9 +175,9 @@ Request parse_request(std::string_view line) {
     need(6, "<id> <src> <dst> <rank> <algorithm> [time|length]");
     request.source = node(2, "src");
     request.target = node(3, "dst");
-    request.rank = static_cast<std::uint32_t>(parse_u64(tokens[4], "rank", kMaxPathRank));
+    request.rank = static_cast<std::uint32_t>(parse_wire_u64(tokens[4], "rank", kMaxPathRank));
     if (request.rank == 0) throw InvalidInput("rank must be >= 1");
-    request.algorithm = parse_algorithm_token(tokens[5]);
+    request.algorithm = attack::parse_algorithm(tokens[5]);
     finish_request(request, tokens, 6);
   } else {
     throw InvalidInput("unknown verb '" + std::string(verb) +
@@ -240,12 +209,12 @@ std::string serialize_request(const Request& request) {
       line += ' ' + std::to_string(request.source) + ' ' + std::to_string(request.target) +
               ' ' + std::to_string(request.rank);
       line += ' ';
-      line += algorithm_token(request.algorithm);
+      line += attack::algorithm_token(request.algorithm);
       break;
   }
-  if (request.weight != WeightKind::Time) {
+  if (request.weight != attack::WeightType::Time) {
     line += ' ';
-    line += to_string(request.weight);
+    line += attack::weight_token(request.weight);
   }
   if (request.deadline_ms != 0) {
     line += " deadline=";
@@ -262,7 +231,7 @@ Response parse_response(std::string_view line) {
     throw InvalidInput("response must start with ok|err, got '" + std::string(tokens[0]) + "'");
   }
   response.ok = tokens[0] == "ok";
-  response.id = parse_u64(tokens[1], "id", std::numeric_limits<std::uint64_t>::max());
+  response.id = parse_wire_u64(tokens[1], "id", std::numeric_limits<std::uint64_t>::max());
   if (!response.ok) {
     // Everything after the id is the taxonomy message, spaces included.
     const std::size_t prefix = line.find(' ', line.find(' ') + 1);

@@ -43,13 +43,9 @@
 #include <vector>
 
 #include "attack/algorithms.hpp"
+#include "attack/models.hpp"
 
 namespace mts::net {
-
-/// Which weight vector a query runs under (paper: TIME and LENGTH).
-enum class WeightKind : std::uint8_t { Time, Length };
-
-const char* to_string(WeightKind kind);
 
 enum class Verb : std::uint8_t { Ping, Graph, Stats, Route, Kalt, Table, Attack };
 
@@ -76,7 +72,7 @@ struct Request {
   std::uint32_t k = 0;       // kalt: number of alternatives, in [1, kMaxAlternatives]
   std::uint32_t rank = 0;    // attack: forced path rank, in [1, kMaxPathRank]
   attack::Algorithm algorithm = attack::Algorithm::GreedyPathCover;  // attack
-  WeightKind weight = WeightKind::Time;
+  attack::WeightType weight = attack::WeightType::Time;
   std::uint32_t deadline_ms = 0;  // optional `deadline=` token; 0 = none
   std::vector<std::uint32_t> sources;  // table: 1..kMaxTableDim row nodes
   std::vector<std::uint32_t> targets;  // table: 1..kMaxTableDim column nodes
@@ -100,6 +96,10 @@ struct Response {
   /// Value of `key` in fields, or "" when absent.
   [[nodiscard]] std::string field(std::string_view key) const;
 };
+
+/// Strict wire integer: a non-empty run of decimal digits no larger than
+/// `max_value`.  Throws InvalidInput naming `what` and the token.
+std::uint64_t parse_wire_u64(std::string_view token, const char* what, std::uint64_t max_value);
 
 /// Parses one request line.  Throws InvalidInput naming the offending
 /// token on any violation; never accepts a line it cannot round-trip.

@@ -1,5 +1,7 @@
 #include "net/server.hpp"
 
+#include <algorithm>
+#include <array>
 #include <exception>
 #include <string_view>
 #include <utility>
@@ -15,6 +17,46 @@
 namespace mts::net {
 
 namespace {
+
+/// A request's eight work counts, in the one order its slow-query log line
+/// and its trace span both carry them (DESIGN.md §13).
+std::array<std::pair<const char*, std::uint64_t>, 8> work_counts(const WorkBudget& work) {
+  return {{{"dijkstra_runs", work.dijkstra_runs},
+           {"nodes_settled", work.nodes_settled},
+           {"edges_scanned", work.edges_scanned},
+           {"spur_searches", work.spur_searches},
+           {"spurs_pruned", work.spurs_pruned},
+           {"oracle_calls", work.oracle_calls},
+           {"ch_queries", work.ch_queries},
+           {"ch_nodes_settled", work.ch_nodes_settled}}};
+}
+
+bool stats_relevant(const std::string& name) {
+  return name.rfind("routed.", 0) == 0 || name.rfind("dijkstra.", 0) == 0 ||
+         name.rfind("yen.", 0) == 0 || name.rfind("ch.", 0) == 0;
+}
+
+/// Appends the registry's `routed.*` / `dijkstra.*` / `yen.*` / `ch.*`
+/// slice to a stats response: every matching counter as `name=value` and
+/// every matching histogram as `name.count` / `name.p50` / `name.p99`
+/// (quantile estimates over the log buckets), then sorts every key,
+/// including the server.* / window.* fields already present, so responses
+/// are deterministic.  Registry values are all zero until
+/// MTS_METRICS/MTS_TRACE (or --obs) turns recording on.
+void append_registry_stats(Response& response) {
+  const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::instance().snapshot();
+  for (const auto& counter : snapshot.counters) {
+    if (!stats_relevant(counter.name)) continue;
+    response.fields.emplace_back(counter.name, std::to_string(counter.value));
+  }
+  for (const auto& hist : snapshot.histograms) {
+    if (!stats_relevant(hist.name)) continue;
+    response.fields.emplace_back(hist.name + ".count", std::to_string(hist.count));
+    response.fields.emplace_back(hist.name + ".p50", format_wire_double(hist.quantile(0.50)));
+    response.fields.emplace_back(hist.name + ".p99", format_wire_double(hist.quantile(0.99)));
+  }
+  std::sort(response.fields.begin(), response.fields.end());
+}
 
 obs::CounterId requests_counter() {
   static const obs::CounterId id = obs::MetricsRegistry::instance().counter("routed.requests");
@@ -466,14 +508,7 @@ void RoutedServer::record_outcome(const Request& request, const Response& respon
     entry.verb = to_string(request.verb);
     entry.id = request.id;
     entry.latency_s = reported_seconds(latency_s);
-    entry.fields.emplace_back("dijkstra_runs", work.dijkstra_runs);
-    entry.fields.emplace_back("nodes_settled", work.nodes_settled);
-    entry.fields.emplace_back("edges_scanned", work.edges_scanned);
-    entry.fields.emplace_back("spur_searches", work.spur_searches);
-    entry.fields.emplace_back("spurs_pruned", work.spurs_pruned);
-    entry.fields.emplace_back("oracle_calls", work.oracle_calls);
-    entry.fields.emplace_back("ch_queries", work.ch_queries);
-    entry.fields.emplace_back("ch_nodes_settled", work.ch_nodes_settled);
+    for (const auto& [key, count] : work_counts(work)) entry.fields.emplace_back(key, count);
     entry.error = response.error;
     slowlog_->append(entry);
   }
@@ -484,13 +519,9 @@ void RoutedServer::record_outcome(const Request& request, const Response& respon
     event.ts_s = span_start_s;
     event.dur_s = reported_seconds(latency_s);
     event.args.emplace_back("id", std::to_string(request.id));
-    event.args.emplace_back("edges_scanned", std::to_string(work.edges_scanned));
-    event.args.emplace_back("nodes_settled", std::to_string(work.nodes_settled));
-    event.args.emplace_back("spur_searches", std::to_string(work.spur_searches));
-    event.args.emplace_back("spurs_pruned", std::to_string(work.spurs_pruned));
-    event.args.emplace_back("oracle_calls", std::to_string(work.oracle_calls));
-    event.args.emplace_back("ch_queries", std::to_string(work.ch_queries));
-    event.args.emplace_back("ch_nodes_settled", std::to_string(work.ch_nodes_settled));
+    for (const auto& [key, count] : work_counts(work)) {
+      event.args.emplace_back(key, std::to_string(count));
+    }
     if (!response.ok) event.args.emplace_back("error", response.error);
     obs::MetricsRegistry::instance().record_trace_event(std::move(event));
   }

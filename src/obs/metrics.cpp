@@ -43,13 +43,6 @@ using Clock = std::chrono::steady_clock;
 /// millions of dijkstra scopes — the trace must not exhaust memory).
 constexpr std::size_t kMaxTraceEventsPerShard = 1u << 20;
 
-std::size_t bucket_of(double value) {
-  if (!(value >= kHistogramOrigin)) return 0;  // also catches NaN
-  const int exponent = std::ilogb(value / kHistogramOrigin);
-  const std::size_t b = static_cast<std::size_t>(exponent) + 1;
-  return std::min(b, kHistogramBuckets - 1);
-}
-
 /// Single-writer accumulator cell: the owning thread is the only writer,
 /// so relaxed load+store read-modify-writes are race-free; concurrent
 /// snapshot readers see a consistent (if slightly stale) value.
@@ -63,7 +56,7 @@ struct PhaseAccum {
   double seconds = 0.0;
 };
 
-/// Value range covered by bucket `b` (see bucket_of): bucket 0 is
+/// Value range covered by bucket `b` (see histogram_bucket): bucket 0 is
 /// [0, origin), the last bucket is open-ended (treated as one octave).
 std::pair<double, double> bucket_bounds(std::size_t b) {
   if (b == 0) return {0.0, kHistogramOrigin};
@@ -72,6 +65,13 @@ std::pair<double, double> bucket_bounds(std::size_t b) {
 }
 
 }  // namespace
+
+std::size_t histogram_bucket(double value) {
+  if (!(value >= kHistogramOrigin)) return 0;  // also catches NaN
+  const int exponent = std::ilogb(value / kHistogramOrigin);
+  const std::size_t b = static_cast<std::size_t>(exponent) + 1;
+  return std::min(b, kHistogramBuckets - 1);
+}
 
 double HistogramSnapshot::quantile(double q) const {
   require(q >= 0.0 && q <= 1.0, "HistogramSnapshot::quantile: q out of [0, 1]");
@@ -202,7 +202,7 @@ void MetricsRegistry::observe(HistogramId id, double value) {
   if (value > h.max.load(std::memory_order_relaxed)) {
     h.max.store(value, std::memory_order_relaxed);
   }
-  accumulate(h.buckets[bucket_of(value)], std::uint64_t{1});
+  accumulate(h.buckets[histogram_bucket(value)], std::uint64_t{1});
 }
 
 void MetricsRegistry::record_phase(const std::string& path, double seconds) {

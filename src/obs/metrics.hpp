@@ -73,6 +73,11 @@ inline constexpr std::size_t kMaxHistograms = 32;
 inline constexpr std::size_t kHistogramBuckets = 32;
 inline constexpr double kHistogramOrigin = 1e-6;  // 1 us for duration values
 
+/// The bucket `value` falls in (NaN lands in bucket 0).  The registry's
+/// histograms and the daemon's windowed one (obs/window.hpp) both bucket
+/// with it, so either feeds HistogramSnapshot::quantile.
+std::size_t histogram_bucket(double value);
+
 struct CounterId {
   std::uint32_t index = 0;
 };

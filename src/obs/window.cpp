@@ -45,14 +45,7 @@ void WindowedHistogram::record(double now_s, double value_s) {
   }
   ++slot.count;
   slot.sum += value_s;
-  // Same log2 bucketing as the registry histograms, so the merged window
-  // feeds the same HistogramSnapshot::quantile estimator.
-  std::size_t b = 0;
-  if (value_s >= kHistogramOrigin) {
-    b = std::min(static_cast<std::size_t>(std::ilogb(value_s / kHistogramOrigin)) + 1,
-                 kHistogramBuckets - 1);
-  }
-  ++slot.buckets[b];
+  ++slot.buckets[histogram_bucket(value_s)];
 }
 
 WindowSnapshot WindowedHistogram::snapshot(double now_s) const {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/algorithms.hpp"
 #include "citygen/generate.hpp"
+#include "core/error.hpp"
 #include "core/units.hpp"
 
 namespace mts::attack {
@@ -81,6 +83,18 @@ TEST(Models, ToStringNames) {
   EXPECT_STREQ(to_string(CostType::Uniform), "UNIFORM");
   EXPECT_STREQ(to_string(CostType::Lanes), "LANES");
   EXPECT_STREQ(to_string(CostType::Width), "WIDTH");
+}
+
+TEST(Models, CliAndWireTokensRoundTrip) {
+  for (const WeightType type : kAllWeightTypes) EXPECT_EQ(parse_weight(weight_token(type)), type);
+  for (const Algorithm algorithm : kAllAlgorithms) {
+    EXPECT_EQ(parse_algorithm(algorithm_token(algorithm)), algorithm);
+  }
+  EXPECT_STREQ(weight_token(WeightType::Time), "time");
+  EXPECT_STREQ(algorithm_token(Algorithm::LpPathCover), "lp-pathcover");
+  // Display names are not tokens.
+  EXPECT_THROW(parse_weight("TIME"), InvalidInput);
+  EXPECT_THROW(parse_algorithm("LP-PathCover"), InvalidInput);
 }
 
 }  // namespace

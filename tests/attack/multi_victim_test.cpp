@@ -18,14 +18,7 @@ using test::Diamond;
 /// Verifies every victim's sub-instance against the shared cut.
 void expect_all_forced(const MultiVictimProblem& problem, const MultiVictimResult& result) {
   for (std::size_t i = 0; i < problem.victims.size(); ++i) {
-    ForcePathCutProblem sub;
-    sub.graph = problem.graph;
-    sub.weights = problem.weights;
-    sub.costs = problem.costs;
-    sub.source = problem.victims[i].source;
-    sub.target = problem.victims[i].target;
-    sub.p_star = problem.victims[i].p_star;
-    const auto verdict = verify_attack(sub, result.removed_edges);
+    const auto verdict = verify_attack(problem.victim_problem(i), result.removed_edges);
     EXPECT_TRUE(verdict.ok) << "victim " << i << ": " << verdict.reason;
     EXPECT_TRUE(result.victim_forced[i]);
   }

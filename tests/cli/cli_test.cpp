@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "test_util.hpp"
@@ -270,6 +275,54 @@ TEST_F(CliTest, LoadgenRequireZeroDropsIsBoolean) {
   EXPECT_EQ(run({"loadgen", "--port", "1", "--require-zero-drops", "2"}), 1);
   EXPECT_NE(err_.str().find("--require-zero-drops must be 0 or 1"), std::string::npos)
       << err_.str();
+}
+
+TEST_F(CliTest, RoutedServesEveryMixAndStatsThenDrainsOnSigterm) {
+  generate();
+  const std::string port_file = (dir_ / "routed.port").string();
+  std::ostringstream routed_out;
+  std::ostringstream routed_err;
+  std::atomic<bool> routed_done{false};
+  int routed_rc = -1;
+  std::thread routed([&] {
+    routed_rc = run_cli({"routed", "--osm", osm_path_, "--port", "0", "--port-file", port_file,
+                         "--threads", "2"},
+                        routed_out, routed_err);
+    routed_done = true;
+  });
+  // routed installs its SIGTERM handler before it writes the port file, so
+  // once the file holds a whole line a SIGTERM drains instead of killing.
+  bool published = false;
+  for (int i = 0; i < 1200 && !published && !routed_done; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    std::ifstream file(port_file);
+    std::string line;
+    published = std::getline(file, line) && !file.eof();
+  }
+  if (!published) {
+    routed.join();
+    FAIL() << "routed never published its port: " << routed_err.str();
+  }
+
+  for (const char* mix : {"route", "kalt", "table", "attack", "mixed"}) {
+    EXPECT_EQ(run({"loadgen", "--port-file", port_file, "--requests", "40", "--connections",
+                   "2", "--mix", mix, "--rank", "2", "--require-zero-drops", "1"}),
+              0)
+        << mix << ": " << err_.str();
+    EXPECT_NE(out_.str().find("loadgen: sent=40 completed=40 "), std::string::npos)
+        << mix << ": " << out_.str();
+    EXPECT_NE(out_.str().find("server stats:"), std::string::npos) << out_.str();
+  }
+  EXPECT_EQ(run({"stats", "--port-file", port_file}), 0) << err_.str();
+  EXPECT_NE(out_.str().find("server.requests="), std::string::npos) << out_.str();
+  EXPECT_NE(out_.str().find("window.count="), std::string::npos) << out_.str();
+
+  std::raise(SIGTERM);
+  routed.join();
+  EXPECT_EQ(routed_rc, 0) << routed_err.str();
+  EXPECT_NE(routed_out.str().find("routed: connections="), std::string::npos)
+      << routed_out.str();
+  EXPECT_NE(routed_err.str().find("[routed] serving"), std::string::npos) << routed_err.str();
 }
 
 TEST_F(CliTest, RoutedRejectsMalformedOverloadKnobs) {

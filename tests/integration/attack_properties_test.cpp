@@ -55,14 +55,7 @@ TEST_P(AttackGrid, VerifiedSuccess) {
   ASSERT_TRUE(inst.scenario.has_value()) << "scenario sampling failed";
 
   const auto costs = attack::make_costs(inst.network, cost_type);
-  attack::ForcePathCutProblem problem;
-  problem.graph = &inst.network.graph();
-  problem.weights = inst.weights;
-  problem.costs = costs;
-  problem.source = inst.scenario->source;
-  problem.target = inst.scenario->target;
-  problem.p_star = inst.scenario->p_star;
-  problem.seed_paths = inst.scenario->prefix;
+  const auto problem = exp::make_problem(inst.network.graph(), inst.weights, costs, *inst.scenario);
 
   const auto result = run_attack(algorithm, problem);
   ASSERT_EQ(result.status, attack::AttackStatus::Success);

@@ -133,6 +133,60 @@ TEST(CheckpointJournalTest, TornTrailingLineIsSkippedInteriorCorruptionThrows) {
   EXPECT_THROW(CheckpointJournal::load(path, "fp"), InvalidInput);
 }
 
+TEST(CheckpointJournalTest, NumbersMustEndAtTheirFieldAndCountsCannotBeNegative) {
+  const auto dir = test::unique_temp_dir();
+  CellRecord record;
+  record.task = 3;
+  record.status = "success";
+  record.removed = 2;
+  const std::string good_path = (dir / "good.jsonl").string();
+  {
+    CheckpointJournal journal(good_path, "fp");
+    journal.append(record);
+  }
+  std::string good;
+  {
+    std::ifstream in(good_path);
+    std::getline(in, good);  // header
+    std::getline(in, good);
+  }
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    std::string line = good;
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from << " not in " << good;
+    return line.replace(at, from.size(), to);
+  };
+  const std::string corrupt[] = {
+      with("\"removed\":2,", "\"removed\":2x,"),        // trailing junk
+      with("\"task\":3,", "\"task\":-1,"),              // would wrap to 2^64 - 1
+      with("\"task\":3,", "\"task\": 3,"),              // leading space
+      with("\"seconds\":0,", "\"seconds\":0abc,"),      // junk after a double
+      with("\"total_cost\":0}", "\"total_cost\":0 }"),  // space before the brace
+  };
+  for (std::size_t i = 0; i < std::size(corrupt); ++i) {
+    const std::string path = (dir / ("journal" + std::to_string(i) + ".jsonl")).string();
+    { CheckpointJournal journal(path, "fp"); }
+    {
+      // In the middle of the journal the bad line is corruption...
+      std::ofstream out(path, std::ios::app);
+      out << corrupt[i] << "\n" << good << "\n";
+    }
+    EXPECT_THROW(CheckpointJournal::load(path, "fp"), InvalidInput) << corrupt[i];
+    {
+      // ...and as the last line it is a torn append, dropped.
+      std::ofstream out(path, std::ios::trunc);
+    }
+    { CheckpointJournal journal(path, "fp"); }
+    {
+      std::ofstream out(path, std::ios::app);
+      out << good << "\n" << corrupt[i] << "\n";
+    }
+    const auto loaded = CheckpointJournal::load(path, "fp");
+    EXPECT_EQ(loaded.size(), 1u) << corrupt[i];
+    EXPECT_EQ(loaded.count(3), 1u) << corrupt[i];
+  }
+}
+
 TEST(CheckpointFingerprintTest, CoversEveryResultShapingKnob) {
   const RunConfig base = small_config();
   const std::string fp = checkpoint_fingerprint(base);

@@ -59,14 +59,7 @@ TEST(CutGolden, ExactAttackOnAblationOptimalityInstances) {
 
   std::string actual;
   for (const auto& scenario : scenarios) {
-    ForcePathCutProblem problem;
-    problem.graph = &network.graph();
-    problem.weights = weights;
-    problem.costs = costs;
-    problem.source = scenario.source;
-    problem.target = scenario.target;
-    problem.p_star = scenario.p_star;
-    problem.seed_paths = scenario.prefix;
+    const auto problem = exp::make_problem(network.graph(), weights, costs, scenario);
     const auto exact = run_exact_attack(problem);
     actual += "trial " + std::to_string(scenario.trial) + describe(exact) +
               " proven_optimal=" + (exact.proven_optimal ? "1" : "0") + "\n";

@@ -45,11 +45,11 @@ TEST(ScenarioSampling, RespectsMinimumSeparation) {
   Rng rng(4);
   ScenarioOptions options;
   options.path_rank = 5;
-  options.min_separation_segments = 4.0;
   const auto scenario = sample_scenario(network, weights, 0, rng, options);
   ASSERT_TRUE(scenario.has_value());
   const auto& g = network.graph();
-  EXPECT_GE(g.node_distance(scenario->source, scenario->target), 4.0 * mean_segment);
+  EXPECT_GE(g.node_distance(scenario->source, scenario->target),
+            kMinSeparationSegments * mean_segment);
 }
 
 TEST(TableRunner, SmallRunFillsAllCells) {

@@ -45,14 +45,7 @@ TEST(Pipeline, CityToXmlToAttackToSvg) {
   EXPECT_GE(scenario->p_star_length, scenario->shortest_length);
 
   const auto costs = attack::make_costs(network, attack::CostType::Width);
-  attack::ForcePathCutProblem problem;
-  problem.graph = &network.graph();
-  problem.weights = weights;
-  problem.costs = costs;
-  problem.source = scenario->source;
-  problem.target = scenario->target;
-  problem.p_star = scenario->p_star;
-  problem.seed_paths = scenario->prefix;
+  const auto problem = exp::make_problem(network.graph(), weights, costs, *scenario);
 
   for (attack::Algorithm algorithm : attack::kAllAlgorithms) {
     const auto result = run_attack(algorithm, problem);
@@ -88,14 +81,7 @@ TEST(Pipeline, IntelligentAlgorithmsNoCostlierThanNaive) {
   for (std::size_t hospital = 0; hospital < 4 && compared < 3; ++hospital) {
     const auto scenario = exp::sample_scenario(network, weights, hospital, rng, options);
     if (!scenario) continue;
-    attack::ForcePathCutProblem problem;
-    problem.graph = &network.graph();
-    problem.weights = weights;
-    problem.costs = costs;
-    problem.source = scenario->source;
-    problem.target = scenario->target;
-    problem.p_star = scenario->p_star;
-    problem.seed_paths = scenario->prefix;
+    const auto problem = exp::make_problem(network.graph(), weights, costs, *scenario);
 
     const auto lp = run_attack(attack::Algorithm::LpPathCover, problem);
     const auto cover = run_attack(attack::Algorithm::GreedyPathCover, problem);

@@ -207,7 +207,7 @@ net::Request kalt_request() {
   net::Request request;
   request.verb = net::Verb::Kalt;
   request.id = 1;
-  request.weight = net::WeightKind::Time;
+  request.weight = attack::WeightType::Time;
   request.source = 3;
   request.target = static_cast<std::uint32_t>(small_city().num_nodes() - 5);
   request.k = 5;

@@ -41,7 +41,7 @@ std::vector<Request> parity_requests(std::size_t num_nodes) {
   const auto node = [num_nodes](std::uint64_t i) {
     return static_cast<std::uint32_t>((i * 2654435761ULL) % num_nodes);
   };
-  for (const WeightKind weight : {WeightKind::Time, WeightKind::Length}) {
+  for (const attack::WeightType weight : {attack::WeightType::Time, attack::WeightType::Length}) {
     for (std::uint64_t i = 0; i < 12; ++i) {
       Request request;
       request.id = id++;
@@ -89,7 +89,7 @@ std::vector<std::string> answer_all(const Snapshot& snapshot,
 /// endpoints, every verb parity_requests emits).
 std::string reference_answer(const Snapshot& snapshot, const Request& request) {
   const DiGraph& g = snapshot.graph();
-  const auto& weights = snapshot.weights(request.weight == WeightKind::Time);
+  const auto& weights = snapshot.weights(request.weight == attack::WeightType::Time);
   const NodeId source(request.source);
   const NodeId target(request.target);
   Response response;
@@ -175,7 +175,7 @@ TEST(ChServing, TableMatchesDirectDijkstra) {
   Request request;
   request.verb = Verb::Table;
   request.id = 7;
-  request.weight = WeightKind::Time;
+  request.weight = attack::WeightType::Time;
   request.sources = {1, 9, 33};
   request.targets = {70, 4};
   QueryEngine engine(ch_snapshot(), WorkBudget{});

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
+#include "net/framing.hpp"
+#include "net/socket.hpp"
 
 namespace mts::net {
 namespace {
@@ -75,7 +79,7 @@ TEST(Loadgen, RequestsRespectOptionsAndGraphBounds) {
   options.mix = Mix::Mixed;
   options.kalt_k = 6;
   options.attack_rank = 11;
-  options.weight = WeightKind::Length;
+  options.weight = attack::WeightType::Length;
   const std::size_t num_nodes = 37;
   std::set<Verb> verbs_seen;
   for (const Request& r : synthesize_requests(options, num_nodes)) {
@@ -83,7 +87,7 @@ TEST(Loadgen, RequestsRespectOptionsAndGraphBounds) {
     EXPECT_LT(r.source, num_nodes);
     EXPECT_LT(r.target, num_nodes);
     EXPECT_NE(r.source, r.target);
-    EXPECT_EQ(r.weight, WeightKind::Length);
+    EXPECT_EQ(r.weight, attack::WeightType::Length);
     if (r.verb == Verb::Kalt) {
       EXPECT_EQ(r.k, 6u);
     }
@@ -109,6 +113,64 @@ TEST(Loadgen, PureMixesSynthesizeOnlyTheirVerb) {
       EXPECT_EQ(r.verb, verb) << to_string(mix);
     }
   }
+}
+
+TEST(Loadgen, TableMixIsDeterministicAndItsWireFormRoundTrips) {
+  LoadgenOptions options;
+  options.requests = 50;
+  options.seed = 9;
+  options.mix = Mix::Table;
+  const std::size_t num_nodes = 40;
+  const std::vector<Request> a = synthesize_requests(options, num_nodes);
+  const std::vector<Request> b = synthesize_requests(options, num_nodes);
+  ASSERT_EQ(a.size(), 50u);
+  EXPECT_EQ(a, b);
+  for (const Request& r : a) {
+    EXPECT_EQ(r.verb, Verb::Table);
+    EXPECT_FALSE(r.sources.empty());
+    EXPECT_LE(r.sources.size(), kMaxTableDim);
+    EXPECT_EQ(r.sources.size(), r.targets.size());
+    for (const std::uint32_t node : r.sources) EXPECT_LT(node, num_nodes);
+    for (const std::uint32_t node : r.targets) EXPECT_LT(node, num_nodes);
+    // A table's wire form carries only its sides (the stream's shared
+    // source/target draws are not part of it), and parses back to itself.
+    const std::string wire = serialize_request(r);
+    EXPECT_EQ(serialize_request(parse_request(wire)), wire);
+  }
+}
+
+TEST(Loadgen, GraphProbeReadsTheNodeCountStrictly) {
+  // A one-shot fake daemon whose `graph` answer carries trailing junk in
+  // nodes=.  It closes its listener after the probe, so a client that
+  // accepted "12abc" as 12 fails on its next connect instead of hanging.
+  Listener listener = Listener::bind("127.0.0.1", 0);
+  const std::uint16_t port = listener.port();
+  std::thread daemon([&listener] {
+    std::optional<Socket> client = listener.accept_for(10000);
+    listener.close();
+    if (!client) return;
+    LineFramer framer;
+    std::string line;
+    char buf[256];
+    while (!framer.next_line(line)) {
+      const std::size_t n = client->read_some(buf, sizeof buf);
+      if (n == 0) return;
+      framer.feed(std::string_view(buf, n));
+    }
+    client->write_all("ok 0 graph nodes=12abc edges=30 pois=1\n");
+  });
+  LoadgenOptions options;
+  options.requests = 1;
+  options.connections = 1;
+  try {
+    (void)run_loadgen("127.0.0.1", port, options);
+    ADD_FAILURE() << "loadgen accepted nodes=12abc";
+  } catch (const InvalidInput& error) {
+    EXPECT_NE(std::string(error.what()).find("'12abc'"), std::string::npos) << error.what();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "expected InvalidInput, got: " << error.what();
+  }
+  daemon.join();
 }
 
 TEST(Loadgen, ReportPercentilesInterpolateUnlikeTheOldTruncation) {

@@ -26,12 +26,12 @@ TEST(Protocol, ParsesEveryVerb) {
   EXPECT_EQ(route.verb, Verb::Route);
   EXPECT_EQ(route.source, 10u);
   EXPECT_EQ(route.target, 20u);
-  EXPECT_EQ(route.weight, WeightKind::Time);
+  EXPECT_EQ(route.weight, attack::WeightType::Time);
 
   Request kalt = parse_request("kalt 4 10 20 8 length");
   EXPECT_EQ(kalt.verb, Verb::Kalt);
   EXPECT_EQ(kalt.k, 8u);
-  EXPECT_EQ(kalt.weight, WeightKind::Length);
+  EXPECT_EQ(kalt.weight, attack::WeightType::Length);
 
   Request atk = parse_request("attack 5 10 20 16 greedy-pathcover");
   EXPECT_EQ(atk.verb, Verb::Attack);
@@ -65,7 +65,7 @@ TEST(Protocol, RequestRoundTripsForEveryVerbAndVariant) {
     r.id = 7;
     r.source = 12;
     r.target = 34;
-    r.weight = WeightKind::Length;
+    r.weight = attack::WeightType::Length;
     cases.push_back(r);
   }
   {
@@ -75,6 +75,15 @@ TEST(Protocol, RequestRoundTripsForEveryVerbAndVariant) {
     r.source = 0;
     r.target = 4294967295u;
     r.k = kMaxAlternatives;
+    cases.push_back(r);
+  }
+  {
+    Request r;
+    r.verb = Verb::Table;
+    r.id = 12;
+    r.sources = {0, 7, 4294967295u};
+    r.targets = {5};
+    r.weight = attack::WeightType::Length;
     cases.push_back(r);
   }
   for (const auto algorithm :
@@ -87,7 +96,7 @@ TEST(Protocol, RequestRoundTripsForEveryVerbAndVariant) {
     r.target = 9;
     r.rank = kMaxPathRank;
     r.algorithm = algorithm;
-    r.weight = WeightKind::Length;
+    r.weight = attack::WeightType::Length;
     cases.push_back(r);
   }
   for (const Request& request : cases) {
@@ -104,10 +113,10 @@ TEST(Protocol, RequestRoundTripsForEveryVerbAndVariant) {
 TEST(Protocol, DeadlineTokenParsesWithAndWithoutWeight) {
   const Request bare = parse_request("route 7 1 2 deadline=250");
   EXPECT_EQ(bare.deadline_ms, 250u);
-  EXPECT_EQ(bare.weight, WeightKind::Time);  // weight slot untouched
+  EXPECT_EQ(bare.weight, attack::WeightType::Time);  // weight slot untouched
   const Request both = parse_request("route 7 1 2 length deadline=250");
   EXPECT_EQ(both.deadline_ms, 250u);
-  EXPECT_EQ(both.weight, WeightKind::Length);
+  EXPECT_EQ(both.weight, attack::WeightType::Length);
   const Request none = parse_request("route 7 1 2");
   EXPECT_EQ(none.deadline_ms, 0u);
   // The cap is inclusive (one hour).

@@ -21,6 +21,7 @@
 #include "net/server.hpp"
 #include "net/snapshot.hpp"
 #include "net/socket.hpp"
+#include "test_util.hpp"
 
 namespace mts::net {
 namespace {
@@ -150,6 +151,46 @@ TEST(RoutedE2e, MalformedRequestGetsErrAndConnectionSurvives) {
   EXPECT_TRUE(pong.ok);
   EXPECT_EQ(pong.id, 10u);
   EXPECT_GE(harness.stats().protocol_errors, 1u);
+}
+
+TEST(RoutedE2e, TerminatedOverLimitLineGetsOneErrAndTheStreamGoesOn) {
+  ServerHarness harness;
+  TestClient client(harness.port());
+  // One write: the framer drops the whole terminated line and resyncs on
+  // its newline, so the ping behind it is still parsed.
+  client.send_line(std::string(kMaxLineBytes + 1, 'x') + "\nping 2");
+  const Response oversized = client.read_response();
+  EXPECT_FALSE(oversized.ok);
+  EXPECT_EQ(oversized.error.rfind("invalid-input: oversized frame: line of 4097 bytes", 0), 0u)
+      << oversized.error;
+  const Response pong = client.read_response();
+  EXPECT_TRUE(pong.ok);
+  EXPECT_EQ(pong.id, 2u);
+  EXPECT_EQ(harness.stats().protocol_errors, 1u);
+}
+
+TEST(RoutedE2e, UnterminatedOverLimitLineGetsOneErrThenEof) {
+  ServerHarness harness;
+  Socket socket = connect_to("127.0.0.1", harness.port());
+  // No terminator anywhere: nothing to resync on, so the daemon answers
+  // once and hangs up.
+  socket.write_all(std::string(kMaxLineBytes + 100, 'x'));
+  LineFramer framer;
+  std::string line;
+  char buf[512];
+  while (!framer.next_line(line)) {
+    const std::size_t n = socket.read_some(buf, sizeof buf);
+    ASSERT_GT(n, 0u) << "connection closed before the err line";
+    framer.feed(std::string_view(buf, n));
+  }
+  const Response response = parse_response(line);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.error.rfind("invalid-input: oversized frame:", 0), 0u) << response.error;
+  EXPECT_NE(response.error.find("without a line terminator"), std::string::npos)
+      << response.error;
+  EXPECT_FALSE(framer.next_line(line));
+  EXPECT_EQ(socket.read_some(buf, sizeof buf), 0u);
+  EXPECT_EQ(harness.stats().protocol_errors, 1u);
 }
 
 TEST(RoutedE2e, OutOfRangeNodeIsRejectedWithTaxonomy) {
@@ -327,6 +368,48 @@ TEST(RoutedE2e, RequestSpansCarryWorkCounters) {
   obs::MetricsRegistry::instance().reset();
   obs::set_trace_enabled(false);
   obs::set_metrics_enabled(false);
+}
+
+TEST(RoutedE2e, SpanAndSlowlogLineCarryTheSameEightWorkCounts) {
+  const std::string path = (test::unique_temp_dir() / "slowlog.jsonl").string();
+  RoutedOptions options;
+  options.slowlog_threshold_s = 1e-9;  // every request is logged
+  options.slowlog_path = path;
+  obs::set_trace_enabled(true);
+  obs::MetricsRegistry::instance().reset();
+  {
+    ServerHarness harness(options);
+    TestClient client(harness.port());
+    client.send_line("kalt 5 0 1 3");
+    EXPECT_TRUE(client.read_response().ok);
+  }
+  std::vector<std::pair<std::string, std::string>> span_args;
+  for (const auto& event : obs::MetricsRegistry::instance().trace_events()) {
+    if (event.cat == "mts.request") span_args = event.args;
+  }
+  obs::MetricsRegistry::instance().reset();
+  obs::set_trace_enabled(false);
+  obs::set_metrics_enabled(false);
+
+  const std::vector<std::string> counters = {
+      "dijkstra_runs", "nodes_settled", "edges_scanned", "spur_searches",
+      "spurs_pruned",  "oracle_calls",  "ch_queries",    "ch_nodes_settled"};
+  ASSERT_EQ(span_args.size(), counters.size() + 1) << "span missing or not id + 8 counters";
+  EXPECT_EQ(span_args[0], std::make_pair(std::string("id"), std::string("5")));
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line)) << "slow-query log is empty";
+  std::size_t previous = 0;
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_EQ(span_args[i + 1].first, counters[i]);
+    // Same value, same order in the slow-query line.
+    const std::string field = "\"" + counters[i] + "\":" + span_args[i + 1].second;
+    const std::size_t at = line.find(field);
+    ASSERT_NE(at, std::string::npos) << field << " not in " << line;
+    EXPECT_NE(std::string(",}").find(line[at + field.size()]), std::string::npos) << line;
+    EXPECT_GT(at, previous) << counters[i] << " out of order in " << line;
+    previous = at;
+  }
 }
 
 TEST(RoutedE2e, RequestOnceRoundTripsAndWindowStaysSane) {

@@ -190,14 +190,7 @@ TEST(TrafficSim, ForcePathCutAttackRealizesForcedRoute) {
   ASSERT_TRUE(scenario.has_value());
 
   const auto costs = attack::make_costs(network, attack::CostType::Uniform);
-  attack::ForcePathCutProblem problem;
-  problem.graph = &network.graph();
-  problem.weights = weights;
-  problem.costs = costs;
-  problem.source = scenario->source;
-  problem.target = scenario->target;
-  problem.p_star = scenario->p_star;
-  problem.seed_paths = scenario->prefix;
+  const auto problem = exp::make_problem(network.graph(), weights, costs, *scenario);
   const auto attack_result = run_attack(attack::Algorithm::GreedyPathCover, problem);
   ASSERT_EQ(attack_result.status, attack::AttackStatus::Success);
 

@@ -28,7 +28,7 @@ jobs:
   ci:
     strategy:
       matrix:
-        preset: [dev, asan, tsan, tidy]
+        preset: [dev, asan, tsan, coverage, tidy]
 """
 
 VIOLATION_RE = re.compile(r"^(?P<path>.+?):(?P<line>\d+): \[(?P<rule>[a-z-]+)\] ")
@@ -319,6 +319,17 @@ class LintFixtureTest(unittest.TestCase):
         self.assertEqual(len(rules), 2, proc.stdout)
         self.assertIn("tsan", proc.stdout)
         self.assertIn("tidy", proc.stdout)
+
+    @unittest.skipUnless(have_yaml(), "PyYAML unavailable")
+    def test_ci_workflow_requires_the_coverage_leg(self) -> None:
+        self.write(".github/workflows/ci.yml",
+                   "jobs:\n"
+                   "  ci:\n"
+                   "    strategy:\n"
+                   "      matrix:\n"
+                   "        preset: [dev, asan, tsan, tidy]\n")
+        self.assert_fires(".github/workflows/ci.yml", 1, "ci-workflow")
+        self.assertIn("coverage", run_lint(self.root).stdout)
 
     # --- suppressions ----------------------------------------------------
 

@@ -73,9 +73,9 @@ Rules (see DESIGN.md "Correctness tooling"):
                    workload runs; make it a named constant next to its
                    one reader instead
   ci-workflow      .github/workflows/ci.yml parses as YAML and carries a
-                   job matrix covering every ci.sh leg (dev, asan, tsan)
-                   plus the tidy gate, so the hosted gate can never
-                   silently drop a preset
+                   job matrix covering every ci.sh leg (dev, asan, tsan,
+                   coverage) plus the tidy gate, so the hosted gate can
+                   never silently drop a preset
 
 Suppressions: a line (or the line directly above it) containing
 `mts-lint: allow(<rule>)` exempts that line from <rule>.  Every suppression
@@ -535,7 +535,7 @@ class Linter:
             matrix = (job.get("strategy") or {}).get("matrix") or {}
             for value in matrix.get("preset", []):
                 presets.add(str(value))
-        missing = {"dev", "asan", "tsan"} - presets
+        missing = {"dev", "asan", "tsan", "coverage"} - presets
         if missing:
             self.report(workflow, 1, "ci-workflow",
                         f"job matrix does not cover ci.sh leg(s): {', '.join(sorted(missing))}")

@@ -59,6 +59,12 @@ REQUIRED_COUNTERS = [
 ]
 
 
+# Args of every request span: the id plus the request budget's eight work
+# counters (DESIGN.md §13).
+SPAN_ARGS = ("id", "dijkstra_runs", "nodes_settled", "edges_scanned", "spur_searches",
+             "spurs_pruned", "oracle_calls", "ch_queries", "ch_nodes_settled")
+
+
 def fail(message: str) -> None:
     print(f"validate_trace: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
@@ -114,14 +120,15 @@ def check_trace(trace_path: Path, schema: dict) -> None:
     tids = {event["tid"] for event in events}
     names = {event["name"] for event in events}
     # Request spans (cat "mts.request", emitted by `mts routed`) carry the
-    # per-request work counters as args; phase events (cat "mts") omit the
-    # args object entirely to keep pre-span traces byte-identical.
+    # request id and the budget's eight work counters as args, the same
+    # eight its slow-query log line carries; phase events (cat "mts") omit
+    # the args object entirely to keep pre-span traces byte-identical.
     spans = [event for event in events if event["cat"] == "mts.request"]
     for i, span in enumerate(spans):
         args = span.get("args")
         if not isinstance(args, dict):
             fail(f"request span [{i}] ({span['name']!r}) has no args object")
-        for key in ("id", "edges_scanned", "nodes_settled"):
+        for key in SPAN_ARGS:
             if key not in args:
                 fail(f"request span [{i}] ({span['name']!r}) missing args.{key}")
     print(f"validate_trace: {len(events)} events ({len(spans)} request spans), "
