@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string_view>
@@ -18,6 +19,7 @@
 #include "core/budget.hpp"
 #include "core/env.hpp"
 #include "core/error.hpp"
+#include "core/parse.hpp"
 #include "core/table.hpp"
 #include "exp/json_report.hpp"
 #include "exp/scenario.hpp"
@@ -75,38 +77,23 @@ class Flags {
     if (it == values_.end()) throw InvalidInput("missing required flag --" + key);
     return it->second;
   }
-  /// Numeric getters reject anything but a fully-consumed literal, so
-  /// "--seed 7x" or "--budget ten" fail with the flag name instead of a
-  /// bare std::stod exception.
+  /// Numeric getters read through core/parse.hpp, so "--seed 7x",
+  /// "--budget ten" or "--scale inf" fail with the flag name.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    std::size_t used = 0;
-    double parsed = 0.0;
-    try {
-      parsed = std::stod(it->second, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used == 0 || used != it->second.size()) {
-      throw InvalidInput("--" + key + " expects a number, got '" + it->second + "'");
-    }
-    return parsed;
+    const Parsed<double> parsed = parse_finite(it->second);
+    if (!parsed) throw InvalidInput("--" + key + " expects a number, got '" + it->second + "'");
+    return parsed.value;
   }
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const {
+  [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    std::size_t used = 0;
-    long parsed = 0;
-    try {
-      parsed = std::stol(it->second, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used == 0 || used != it->second.size()) {
+    const Parsed<std::int64_t> parsed = parse_signed(it->second);
+    if (!parsed) {
       throw InvalidInput("--" + key + " expects an integer, got '" + it->second + "'");
     }
-    return parsed;
+    return parsed.value;
   }
 
  private:
@@ -130,7 +117,7 @@ attack::CostType parse_cost(const std::string& name) {
 
 /// Shared semantic checks; each throws InvalidInput naming the flag.
 std::uint64_t parse_seed(const Flags& flags) {
-  const long seed = flags.get_int("seed", 7);
+  const std::int64_t seed = flags.get_int("seed", 7);
   if (seed < 0) throw InvalidInput("--seed must be >= 0");
   return static_cast<std::uint64_t>(seed);
 }
@@ -201,8 +188,10 @@ int cmd_attack(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   Rng rng(parse_seed(flags));
   exp::ScenarioOptions options;
-  options.path_rank = static_cast<int>(flags.get_int("rank", 100));
-  if (options.path_rank < 1) throw InvalidInput("--rank must be >= 1");
+  const std::int64_t rank = flags.get_int("rank", 100);
+  if (rank < 1) throw InvalidInput("--rank must be >= 1");
+  if (rank > std::numeric_limits<int>::max()) throw InvalidInput("--rank does not fit an int");
+  options.path_rank = static_cast<int>(rank);
   const auto scenario =
       exp::sample_scenario(network, weights, hospital_index(network, flags), rng, options);
   if (!scenario) {
@@ -310,18 +299,22 @@ std::atomic<bool>& routed_stop_flag() {
 void handle_stop_signal(int) { routed_stop_flag().store(true); }
 
 /// Client-side port resolution: --port-file (written by `mts routed`),
-/// else --port, else MTS_PORT.  `require_positive` demands a concrete port
-/// (the client side; the server accepts 0 = ephemeral and treats
-/// --port-file as its *output*).
+/// else --port.  `require_positive` demands a concrete port (the client
+/// side; the server accepts 0 = ephemeral and treats --port-file as its
+/// *output*).
 std::uint16_t resolve_port(const Flags& flags, bool require_positive) {
-  long port = flags.get_int("port", env_int("MTS_PORT", 0));
+  std::int64_t port = flags.get_int("port", 0);
   if (require_positive) {
     const std::string port_file = flags.get("port-file", "");
     if (!port_file.empty()) {
       std::ifstream file(port_file);
-      if (!(file >> port)) {
+      std::string line;
+      std::getline(file, line);
+      const Parsed<std::uint64_t> parsed = parse_unsigned(line);
+      if (!parsed || parsed.value > 65535 || file.peek() != EOF) {
         throw InvalidInput("--port-file " + port_file + " is unreadable or not a port number");
       }
+      port = static_cast<std::int64_t>(parsed.value);
     }
   }
   if (port < 0 || port > 65535 || (require_positive && port == 0)) {
@@ -338,7 +331,7 @@ int cmd_routed(const Flags& flags, std::ostream& out, std::ostream& err) {
   net::RoutedOptions options;
   options.host = flags.get("host", "127.0.0.1");
   options.port = resolve_port(flags, /*require_positive=*/false);
-  const long threads = flags.get_int("threads", 0);
+  const std::int64_t threads = flags.get_int("threads", 0);
   if (threads < 0) throw InvalidInput("--threads must be >= 0");
   options.threads = static_cast<std::size_t>(threads);
   const std::string budget_spec = flags.get("budget", "");
@@ -418,36 +411,39 @@ int cmd_loadgen(const Flags& flags, std::ostream& out) {
   if (!obs_base.empty()) obs::set_metrics_enabled(true);
 
   net::LoadgenOptions options;
-  const long requests = flags.get_int("requests", 1000);
+  const std::int64_t requests = flags.get_int("requests", 1000);
   if (requests < 1) throw InvalidInput("--requests must be >= 1");
   options.requests = static_cast<std::uint64_t>(requests);
-  const long connections = flags.get_int("connections", 4);
+  const std::int64_t connections = flags.get_int("connections", 4);
   if (connections < 1) throw InvalidInput("--connections must be >= 1");
   options.connections = static_cast<std::size_t>(connections);
-  const long window = flags.get_int("window", 16);
+  const std::int64_t window = flags.get_int("window", 16);
   if (window < 1) throw InvalidInput("--window must be >= 1");
   options.window = static_cast<std::size_t>(window);
   options.seed = parse_seed(flags);
   options.mix = net::parse_mix(flags.get("mix", "route"));
   options.weight = attack::parse_weight(flags.get("weight", "time"));
-  const long k = flags.get_int("k", 4);
-  if (k < 1 || k > static_cast<long>(net::kMaxAlternatives)) {
+  const std::int64_t k = flags.get_int("k", 4);
+  if (k < 1 || k > static_cast<std::int64_t>(net::kMaxAlternatives)) {
     throw InvalidInput("--k must be in [1, " + std::to_string(net::kMaxAlternatives) + "]");
   }
   options.kalt_k = static_cast<std::uint32_t>(k);
-  const long rank = flags.get_int("rank", 8);
-  if (rank < 1 || rank > static_cast<long>(net::kMaxPathRank)) {
+  const std::int64_t rank = flags.get_int("rank", 8);
+  if (rank < 1 || rank > static_cast<std::int64_t>(net::kMaxPathRank)) {
     throw InvalidInput("--rank must be in [1, " + std::to_string(net::kMaxPathRank) + "]");
   }
   options.attack_rank = static_cast<std::uint32_t>(rank);
   options.dump_path = flags.get("dump", "");
-  const long retries = flags.get_int("retries", 0);
+  const std::int64_t retries = flags.get_int("retries", 0);
   if (retries < 0) throw InvalidInput("--retries must be >= 0");
+  if (retries > std::numeric_limits<std::uint32_t>::max()) {
+    throw InvalidInput("--retries does not fit 32 bits");
+  }
   options.retry_limit = static_cast<std::uint32_t>(retries);
-  const long reconnects = flags.get_int("reconnects", 0);
+  const std::int64_t reconnects = flags.get_int("reconnects", 0);
   if (reconnects < 0) throw InvalidInput("--reconnects must be >= 0");
   options.max_reconnects = static_cast<std::size_t>(reconnects);
-  const long require_zero_drops = flags.get_int("require-zero-drops", 0);
+  const std::int64_t require_zero_drops = flags.get_int("require-zero-drops", 0);
   if (require_zero_drops != 0 && require_zero_drops != 1) {
     throw InvalidInput("--require-zero-drops must be 0 or 1");
   }

@@ -60,10 +60,6 @@
 /// Function releases the capability (must be held on entry).
 #define MTS_RELEASE(...) MTS_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability iff it returns `result`.
-#define MTS_TRY_ACQUIRE(result, ...) \
-  MTS_THREAD_ANNOTATION(try_acquire_capability(result, __VA_ARGS__))
-
 /// Caller must NOT hold the capability (deadlock prevention: the function
 /// acquires it itself).
 #define MTS_EXCLUDES(...) MTS_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))

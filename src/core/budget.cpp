@@ -1,8 +1,7 @@
 #include "core/budget.hpp"
 
-#include <cstdlib>
-
 #include "core/env.hpp"
+#include "core/parse.hpp"
 
 namespace mts {
 
@@ -21,24 +20,17 @@ WorkBudget WorkBudget::parse(std::string_view spec) {
                          "' (expected key=N with key in edges|pivots|spurs)");
     }
     const std::string_view key = entry.substr(0, eq);
-    const std::string value(entry.substr(eq + 1));
-    // strtoull silently wraps negatives, so insist on a leading digit.
-    if (value.empty() || value[0] < '0' || value[0] > '9') {
-      throw InvalidInput("MTS_BUDGET: bad count in '" + std::string(entry) +
-                         "' (need a positive integer)");
-    }
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || parsed == 0) {
+    const Parsed<std::uint64_t> parsed = parse_unsigned(entry.substr(eq + 1));
+    if (!parsed || parsed.value == 0) {
       throw InvalidInput("MTS_BUDGET: bad count in '" + std::string(entry) +
                          "' (need a positive integer)");
     }
     if (key == "edges") {
-      budget.max_edges_scanned = parsed;
+      budget.max_edges_scanned = parsed.value;
     } else if (key == "pivots") {
-      budget.max_lp_pivots = parsed;
+      budget.max_lp_pivots = parsed.value;
     } else if (key == "spurs") {
-      budget.max_spur_searches = parsed;
+      budget.max_spur_searches = parsed.value;
     } else {
       throw InvalidInput("MTS_BUDGET: unknown key '" + std::string(key) +
                          "' (expected edges|pivots|spurs)");

@@ -1,14 +1,15 @@
 // Environment-variable knobs shared by every benchmark binary.
 //
-// Numeric knobs parse strictly: unset or empty means the default, and any
-// value that is not fully numeric (e.g. "O.2" typed with a letter O) throws
-// InvalidInput naming the variable instead of quietly running the default.
+// Numeric knobs read through core/parse.hpp's grammar: unset or empty means
+// the default, and a value that does not read (e.g. "O.2" typed with a
+// letter O, "inf", " 7") or is out of the knob's range throws InvalidInput
+// naming the variable instead of quietly running the default.
 //
-// MTS_SCALE     city size multiplier (1 = scaled-down default, larger values
-//               approach the paper's full-size graphs)
-// MTS_TRIALS    experiments per table cell (paper used 40; default 24)
-// MTS_SEED      RNG seed for the whole experiment
-// MTS_PATH_RANK rank of the forced alternative path p* (paper: 100)
+// MTS_SCALE     city size multiplier, > 0 (1 = scaled-down default, larger
+//               values approach the paper's full-size graphs)
+// MTS_TRIALS    experiments per table cell, >= 1 (paper used 40; default 24)
+// MTS_SEED      unsigned RNG seed for the whole experiment
+// MTS_PATH_RANK rank of the forced alternative path p*, >= 1 (paper: 100)
 // MTS_THREADS   worker threads for the experiment harness (0 = hardware
 //               concurrency).  Any value produces bit-identical results;
 //               see core/thread_pool.hpp.
@@ -74,19 +75,18 @@ inline const char* env_raw(const char* name) {
 }
 
 /// Reads an integer environment variable: `fallback` when unset or empty;
-/// throws InvalidInput naming the variable when the value is not a
-/// fully-consumed base-10 integer ("2O", "4x", "abc").
+/// throws InvalidInput naming the variable when parse_signed refuses the
+/// value ("2O", "4x", "+4", "abc").
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
 /// Strictly-validated MTS_THREADS read: unset or empty means 0 (= hardware
-/// concurrency); anything else must be a fully-consumed non-negative
-/// integer.  Negative counts, trailing junk ("4x"), and non-numeric values
+/// concurrency); anything else must be an unsigned integer up to 10^6.  Negative counts, trailing junk ("4x"), and non-numeric values
 /// throw InvalidInput naming the offending value instead of silently
 /// falling back — a typo'd thread count must never change results quietly.
 std::size_t env_threads();
 
-/// Reads a floating-point environment variable with the same contract as
-/// env_int; non-finite values ("nan", "inf") are rejected too.
+/// Reads a finite decimal environment variable (parse_finite) with the
+/// same contract as env_int; "nan" and "inf" are refused.
 double env_double(const std::string& name, double fallback);
 
 /// Reads a string environment variable, falling back when unset or empty.

@@ -1,11 +1,11 @@
 #include "core/fault.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "core/env.hpp"
 #include "core/mutex.hpp"
+#include "core/parse.hpp"
 #include "obs/metrics.hpp"
 
 namespace mts::fault {
@@ -134,19 +134,12 @@ void FaultRegistry::arm_from_spec(std::string_view spec) {
       throw InvalidInput("MTS_FAULTS: malformed entry '" + std::string(entry) +
                          "' (expected name:after=N:action)");
     }
-    const std::string count_str(after_kv.substr(kAfterKey.size()));
-    // strtoull silently wraps negatives, so insist on a leading digit.
-    if (count_str.empty() || count_str[0] < '0' || count_str[0] > '9') {
+    const Parsed<std::uint64_t> after = parse_unsigned(after_kv.substr(kAfterKey.size()));
+    if (!after || after.value == 0) {
       throw InvalidInput("MTS_FAULTS: bad trigger count in '" + std::string(entry) +
                          "' (need a positive integer)");
     }
-    char* end = nullptr;
-    const unsigned long long after = std::strtoull(count_str.c_str(), &end, 10);
-    if (end == count_str.c_str() || *end != '\0' || after == 0) {
-      throw InvalidInput("MTS_FAULTS: bad trigger count in '" + std::string(entry) +
-                         "' (need a positive integer)");
-    }
-    arm(name, after, parse_action(action_tok));
+    arm(name, after.value, parse_action(action_tok));
   }
 }
 

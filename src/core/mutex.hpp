@@ -35,7 +35,6 @@ class MTS_CAPABILITY("mutex") Mutex {
 
   void lock() MTS_ACQUIRE() { m_.lock(); }
   void unlock() MTS_RELEASE() { m_.unlock(); }
-  bool try_lock() MTS_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   std::mutex m_;

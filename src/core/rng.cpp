@@ -99,6 +99,4 @@ bool Rng::chance(double p) {
   return uniform() < p;
 }
 
-Rng Rng::fork() { return Rng((*this)()); }
-
 }  // namespace mts

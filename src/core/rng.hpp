@@ -61,9 +61,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child stream (for parallel-safe substreams).
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;

@@ -28,22 +28,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto total = static_cast<double>(count_ + other.count_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ += delta * static_cast<double>(other.count_) / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double percentile(std::vector<double> values, double q) {
   require(!values.empty(), "percentile: empty sample");
   require(q >= 0.0 && q <= 1.0, "percentile: q must be in [0, 1]");

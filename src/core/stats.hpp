@@ -22,9 +22,6 @@ class RunningStats {
   [[nodiscard]] double max() const { return count_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return mean_ * static_cast<double>(count_); }
 
-  /// Merges another accumulator (parallel Welford combine).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;

@@ -64,19 +64,6 @@ void Table::render_text(std::ostream& out) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::render_markdown(std::ostream& out) const {
-  out << "### " << title_ << "\n\n|";
-  for (const auto& h : headers_) out << ' ' << h << " |";
-  out << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) out << "---|";
-  out << '\n';
-  for (const auto& row : rows_) {
-    out << '|';
-    for (const auto& cell : row) out << ' ' << cell << " |";
-    out << '\n';
-  }
-}
-
 void Table::render_csv(std::ostream& out) const {
   auto print_row = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {

@@ -1,4 +1,4 @@
-// Formatted table output (aligned text, Markdown, CSV) used by the
+// Formatted table output (aligned text, CSV) used by the
 // benchmark harness to print the paper's tables.
 #pragma once
 
@@ -23,8 +23,6 @@ class Table {
 
   /// Monospace-aligned rendering for terminals.
   void render_text(std::ostream& out) const;
-  /// GitHub-flavored Markdown rendering.
-  void render_markdown(std::ostream& out) const;
   /// RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines).
   void render_csv(std::ostream& out) const;
 

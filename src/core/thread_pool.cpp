@@ -151,7 +151,7 @@ TaskQueue::TaskQueue(std::size_t num_workers, std::size_t max_queued)
 TaskQueue::~TaskQueue() { close(); }
 
 TaskQueue::SubmitResult TaskQueue::try_submit(Task task) {
-  require(static_cast<bool>(task), "TaskQueue::submit: empty task");
+  require(static_cast<bool>(task), "TaskQueue::try_submit: empty task");
   {
     MutexLock lock(mutex_);
     if (closed_) return SubmitResult::Closed;
@@ -162,15 +162,6 @@ TaskQueue::SubmitResult TaskQueue::try_submit(Task task) {
   }
   work_ready_.notify_one();
   return SubmitResult::Accepted;
-}
-
-bool TaskQueue::submit(Task task) {
-  return try_submit(std::move(task)) == SubmitResult::Accepted;
-}
-
-std::size_t TaskQueue::queued() const {
-  MutexLock lock(mutex_);
-  return queue_.size();
 }
 
 void TaskQueue::close() {

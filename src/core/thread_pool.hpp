@@ -114,15 +114,6 @@ class TaskQueue {
   /// Enqueues a task unless the queue is closed or at its bound.
   [[nodiscard]] SubmitResult try_submit(Task task) MTS_EXCLUDES(mutex_);
 
-  /// Enqueues a task.  Returns false — dropping the task — once close()
-  /// has begun or the bound is hit, so producers racing a shutdown get a
-  /// definite answer.  (Callers that must tell the two apart use
-  /// try_submit().)
-  bool submit(Task task) MTS_EXCLUDES(mutex_);
-
-  /// Tasks currently waiting in the queue (excludes ones being executed).
-  [[nodiscard]] std::size_t queued() const MTS_EXCLUDES(mutex_);
-
   /// Stops accepting new tasks, waits for every already-queued task to
   /// finish, and joins the workers.  Idempotent; safe to call once from
   /// any single thread while others are still submitting.

@@ -1,6 +1,5 @@
 #include "exp/checkpoint.hpp"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -8,6 +7,7 @@
 
 #include "core/error.hpp"
 #include "core/json.hpp"
+#include "core/parse.hpp"
 
 namespace mts::exp {
 
@@ -15,7 +15,7 @@ namespace {
 
 constexpr const char* kHeaderPrefix = "{\"journal\":\"mts-cells\",\"v\":1,\"fingerprint\":\"";
 
-/// %.17g round-trips every finite double exactly through strtod.
+/// %.17g round-trips every finite double exactly through parse_finite.
 std::string exact_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -55,29 +55,27 @@ bool parse_string(const std::string& line, const char* key, std::string& out) {
   return true;
 }
 
-/// A number's field ends exactly at the next key or the record's end:
-/// "7x," or "7 }" is a corrupt value, not 7.
-bool ends_field(const char* end) { return *end == ',' || *end == '}'; }
+/// A number's text runs from just past `"key":` to the next ',' or '}', so
+/// "7x," or "7 }" reads as "7x" or "7 " and is refused.  Empty when the
+/// key is absent.
+std::string_view number_field(const std::string& line, const char* key) {
+  const std::size_t pos = value_pos(line, key);
+  if (pos == std::string::npos) return {};
+  const std::size_t end = line.find_first_of(",}", pos);
+  if (end == std::string::npos) return {};
+  return std::string_view(line).substr(pos, end - pos);
+}
 
 bool parse_double(const std::string& line, const char* key, double& out) {
-  const std::size_t pos = value_pos(line, key);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos;
-  char* end = nullptr;
-  out = std::strtod(start, &end);
-  return end != start && ends_field(end);
+  const Parsed<double> parsed = parse_finite(number_field(line, key));
+  if (parsed) out = parsed.value;
+  return static_cast<bool>(parsed);
 }
 
 bool parse_u64(const std::string& line, const char* key, std::uint64_t& out) {
-  const std::size_t pos = value_pos(line, key);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos;
-  // strtoull would skip spaces and wrap "-1" to 2^64 - 1: digits only.
-  if (*start < '0' || *start > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(start, &end, 10);
-  return errno != ERANGE && ends_field(end);
+  const Parsed<std::uint64_t> parsed = parse_unsigned(number_field(line, key));
+  if (parsed) out = parsed.value;
+  return static_cast<bool>(parsed);
 }
 
 bool parse_bool(const std::string& line, const char* key, bool& out) {
@@ -140,6 +138,7 @@ std::string json_unescape(const std::string& escaped) {
       case 'u':
         if (i + 4 < escaped.size()) {
           const std::string hex = escaped.substr(i + 1, 4);
+          // mts-lint: allow(no-raw-number-parse) four hex digits of a JSON escape, not a number
           out.push_back(static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16)));
           i += 4;
         }

@@ -1,12 +1,9 @@
 #include "exp/json_report.hpp"
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
 #include "core/thread_pool.hpp"
@@ -82,17 +79,7 @@ void save_json(const CityTableResult& result, const std::string& path) {
   out << to_json(result);
 }
 
-std::string observability_suffix() {
-  const std::string configured = env_string("MTS_OBS_SUFFIX", "");
-  if (configured == "pid") return "." + std::to_string(::getpid());
-  return configured;
-}
-
 void save_observability(const std::string& base_path) {
-  save_observability(base_path, observability_suffix());
-}
-
-void save_observability(const std::string& base_path, const std::string& suffix) {
   if (!obs::metrics_enabled()) return;
   const auto resolution = thread_resolution();
   obs::RunInfo run;
@@ -100,10 +87,10 @@ void save_observability(const std::string& base_path, const std::string& suffix)
   run.threads_effective = resolution.effective;
   run.timing = timing_enabled();
   obs::save_metrics_json(obs::MetricsRegistry::instance().snapshot(), run,
-                         base_path + suffix + "_metrics.json");
+                         base_path + "_metrics.json");
   if (obs::trace_enabled()) {
     obs::save_chrome_trace(obs::MetricsRegistry::instance().trace_events(),
-                           base_path + suffix + "_trace.json");
+                           base_path + "_trace.json");
   }
 }
 

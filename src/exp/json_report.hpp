@@ -19,19 +19,9 @@ std::string to_json(const CityTableResult& result);
 void save_json(const CityTableResult& result, const std::string& path);
 
 /// When MTS_METRICS/MTS_TRACE are on, writes the current metrics snapshot
-/// to `<base_path><suffix>_metrics.json` and (trace only) the Chrome trace
-/// to `<base_path><suffix>_trace.json`.  No-op when both knobs are off, so
-/// default runs produce byte-identical artifact sets.
-///
-/// The one-argument form takes the suffix from MTS_OBS_SUFFIX: unset or
-/// empty keeps the historical names byte-for-byte; the literal value "pid"
-/// expands to ".<process id>" so concurrent runs sharing a base path (CI
-/// shards, the routed smoke) never clobber each other's artifacts; any
-/// other value is appended verbatim.
+/// to `<base_path>_metrics.json` and (trace only) the Chrome trace to
+/// `<base_path>_trace.json`.  No-op when both knobs are off, so default
+/// runs produce byte-identical artifact sets.
 void save_observability(const std::string& base_path);
-void save_observability(const std::string& base_path, const std::string& suffix);
-
-/// The MTS_OBS_SUFFIX expansion described above ("" when unset).
-std::string observability_suffix();
 
 }  // namespace mts::exp

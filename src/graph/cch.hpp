@@ -51,7 +51,6 @@ class CchTopology {
   [[nodiscard]] std::size_t num_nodes() const { return rank_.size(); }
   [[nodiscard]] std::size_t num_edges() const { return edge_arc_.size(); }
   [[nodiscard]] std::size_t num_arcs() const { return arc_from_.size(); }
-  [[nodiscard]] std::size_t num_triangles() const { return tri_left_.size(); }
 
   static constexpr std::uint32_t kInvalidArc = 0xffffffffU;
 

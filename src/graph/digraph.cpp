@@ -118,19 +118,6 @@ double DiGraph::average_degree() const {
   return 2.0 * static_cast<double>(num_edges()) / static_cast<double>(num_nodes());
 }
 
-EdgeId DiGraph::find_edge(NodeId u, NodeId v) const {
-  if (finalized_) {
-    for (EdgeId e : out_edges(u)) {
-      if (edge_to(e) == v) return e;
-    }
-    return EdgeId::invalid();
-  }
-  for (std::size_t e = 0; e < num_edges(); ++e) {
-    if (tails_[e] == u && heads_[e] == v) return EdgeId(static_cast<std::uint32_t>(e));
-  }
-  return EdgeId::invalid();
-}
-
 double DiGraph::node_distance(NodeId a, NodeId b) const {
   const double dx = x(a) - x(b);
   const double dy = y(a) - y(b);

@@ -61,10 +61,6 @@ class DiGraph {
   /// quantity the paper's Table I calls "Avg. Node Degree".
   [[nodiscard]] double average_degree() const;
 
-  /// Finds an edge v -> u given edge u -> v from the same construction
-  /// batch (the "reverse twin" of a two-way street), or invalid() if none.
-  [[nodiscard]] EdgeId find_edge(NodeId u, NodeId v) const;
-
   /// Euclidean distance between two nodes' positions, meters.
   [[nodiscard]] double node_distance(NodeId a, NodeId b) const;
 

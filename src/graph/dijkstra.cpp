@@ -163,17 +163,14 @@ ShortestPathTree dijkstra(const DiGraph& g, std::span<const double> weights, Nod
   return tree;
 }
 
-namespace {
-
-/// Walks parent edges from `target` back to `source` over any label lookup.
-template <typename ParentOf>
-std::optional<Path> trace_back(const DiGraph& g, NodeId source, NodeId target, double length,
-                               const ParentOf& parent_of) {
+std::optional<Path> extract_path(const DiGraph& g, const SearchSpace& ws,
+                                 NodeId source, NodeId target) {
+  if (!ws.reached(target)) return std::nullopt;
   Path path;
-  path.length = length;
+  path.length = ws.dist(target);
   NodeId cursor = target;
   while (cursor != source) {
-    const EdgeId e = parent_of(cursor);
+    const EdgeId e = ws.parent_edge(cursor);
     if (!e.valid()) return std::nullopt;  // tree truncated before source
     path.edges.push_back(e);
     cursor = g.edge_from(e);
@@ -181,22 +178,6 @@ std::optional<Path> trace_back(const DiGraph& g, NodeId source, NodeId target, d
   std::reverse(path.edges.begin(), path.edges.end());
   MTS_DCHECK(path.edges.empty() || g.edge_from(path.edges.front()) == source);
   return path;
-}
-
-}  // namespace
-
-std::optional<Path> extract_path(const DiGraph& g, const ShortestPathTree& tree,
-                                 NodeId source, NodeId target) {
-  if (!tree.reached(target)) return std::nullopt;
-  return trace_back(g, source, target, tree.dist[target.value()],
-                    [&tree](NodeId n) { return tree.parent_edge[n.value()]; });
-}
-
-std::optional<Path> extract_path(const DiGraph& g, const SearchSpace& ws,
-                                 NodeId source, NodeId target) {
-  if (!ws.reached(target)) return std::nullopt;
-  return trace_back(g, source, target, ws.dist(target),
-                    [&ws](NodeId n) { return ws.parent_edge(n); });
 }
 
 std::optional<Path> extract_reverse_path(const DiGraph& g, const SearchSpace& ws,

@@ -77,11 +77,8 @@ void reverse_dijkstra(SearchSpace& ws, const DiGraph& g, std::span<const double>
 ShortestPathTree dijkstra(const DiGraph& g, std::span<const double> weights, NodeId source,
                           const DijkstraOptions& options = {});
 
-/// Extracts the source->target path from a tree, or nullopt if unreached.
-std::optional<Path> extract_path(const DiGraph& g, const ShortestPathTree& tree,
-                                 NodeId source, NodeId target);
-
-/// Same, reading a forward search's labels straight from the workspace.
+/// Extracts the source->target path from a forward search's workspace, or
+/// nullopt if unreached.
 std::optional<Path> extract_path(const DiGraph& g, const SearchSpace& ws,
                                  NodeId source, NodeId target);
 

@@ -216,17 +216,6 @@ void replay_connection(const std::string& host, std::uint16_t port,
 
 }  // namespace
 
-const char* to_string(Mix mix) {
-  switch (mix) {
-    case Mix::Route: return "route";
-    case Mix::Kalt: return "kalt";
-    case Mix::Attack: return "attack";
-    case Mix::Table: return "table";
-    case Mix::Mixed: return "mixed";
-  }
-  return "?";
-}
-
 Mix parse_mix(std::string_view token) {
   if (token == "route") return Mix::Route;
   if (token == "kalt") return Mix::Kalt;
@@ -296,10 +285,14 @@ std::vector<Request> synthesize_requests(const LoadgenOptions& options, std::siz
         break;
       case Mix::Table: {
         // The shared source/target draws above become the first row/column
-        // node, keeping every pre-table mix's stream byte-identical.
+        // node, keeping every pre-table mix's stream byte-identical.  A
+        // table's wire form carries only its sides, so the pair is zeroed
+        // for the request to round-trip.
         request.verb = Verb::Table;
         request.sources.push_back(request.source);
         request.targets.push_back(request.target);
+        request.source = 0;
+        request.target = 0;
         for (std::uint32_t j = 1; j < kTableDim; ++j) {
           request.sources.push_back(static_cast<std::uint32_t>(rng.uniform_index(num_nodes)));
         }

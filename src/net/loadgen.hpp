@@ -20,8 +20,6 @@ namespace mts::net {
 /// mostly routes, some k-alternative queries, occasional attacks.
 enum class Mix : std::uint8_t { Route, Kalt, Attack, Table, Mixed };
 
-const char* to_string(Mix mix);
-
 /// Parses "route" | "kalt" | "attack" | "table" | "mixed"; throws
 /// InvalidInput naming the offending token otherwise.
 Mix parse_mix(std::string_view token);

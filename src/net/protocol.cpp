@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/error.hpp"
+#include "core/parse.hpp"
 
 namespace mts::net {
 
@@ -85,23 +86,19 @@ std::string join_node_list(const std::vector<std::uint32_t>& nodes) {
 
 std::uint64_t parse_wire_u64(std::string_view token, const char* what, std::uint64_t max_value) {
   if (token.empty()) throw InvalidInput(std::string(what) + ": empty token");
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      throw InvalidInput(std::string(what) + " expects a non-negative integer, got '" +
-                         std::string(token) + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      throw InvalidInput(std::string(what) + " overflows: '" + std::string(token) + "'");
-    }
-    value = value * 10 + digit;
+  const Parsed<std::uint64_t> parsed = parse_unsigned(token);
+  if (parsed.status == ParseStatus::Malformed) {
+    throw InvalidInput(std::string(what) + " expects a non-negative integer, got '" +
+                       std::string(token) + "'");
   }
-  if (value > max_value) {
+  if (parsed.status == ParseStatus::Overflow) {
+    throw InvalidInput(std::string(what) + " overflows: '" + std::string(token) + "'");
+  }
+  if (parsed.value > max_value) {
     throw InvalidInput(std::string(what) + " out of range (max " + std::to_string(max_value) +
                        "): '" + std::string(token) + "'");
   }
-  return value;
+  return parsed.value;
 }
 
 const char* to_string(Verb verb) {

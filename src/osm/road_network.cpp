@@ -89,7 +89,7 @@ std::optional<WayAttributes> parse_way_attributes(const OsmWay& way, Builder& bu
     if (const auto parsed = parse_width(*raw)) total_width = *parsed;
   }
   if (attrs.oneway == OnewayDirection::No) {
-    attrs.lanes_per_dir = std::max(1, (total_lanes + 1) / 2);
+    attrs.lanes_per_dir = std::max(1, total_lanes - total_lanes / 2);  // ceil, no overflow
     attrs.width_per_dir = std::max(kLaneWidthMeters * 0.5, total_width / 2.0);
   } else {
     attrs.lanes_per_dir = std::max(1, total_lanes);

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <limits>
+#include <string_view>
 
+#include "core/parse.hpp"
 #include "core/units.hpp"
 
 namespace mts::osm {
@@ -20,17 +24,15 @@ std::string lower_trim(const std::string& raw) {
   return out;
 }
 
-/// Parses the leading number of `text`; sets `rest` to the remainder.
-std::optional<double> leading_number(const std::string& text, std::string* rest) {
-  std::size_t pos = 0;
-  try {
-    const double value = std::stod(text, &pos);
-    if (pos == 0) return std::nullopt;
-    if (rest != nullptr) *rest = text.substr(pos);
-    return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+/// Splits lower_trim()'d `text` into its leading number and the unit after
+/// it ("35mph" is 35 and "mph").  The number ends at the first character
+/// that cannot be part of one, and must be a finite decimal.
+std::optional<double> leading_number(const std::string& text, std::string& rest) {
+  const std::size_t end = std::min(text.find_first_not_of("0123456789.-e"), text.size());
+  const Parsed<double> parsed = parse_finite(std::string_view(text).substr(0, end));
+  if (!parsed) return std::nullopt;
+  rest = text.substr(end);
+  return parsed.value;
 }
 
 }  // namespace
@@ -89,8 +91,8 @@ HighwayDefaults highway_defaults(HighwayClass hw) {
 std::optional<double> parse_maxspeed(const std::string& value) {
   const std::string v = lower_trim(value);
   std::string rest;
-  const auto number = leading_number(v, &rest);
-  if (!number || *number < 0.0) return std::nullopt;
+  const auto number = leading_number(v, rest);
+  if (!number || *number <= 0.0) return std::nullopt;
   if (rest == "mph") return mph_to_mps(*number);
   if (rest.empty() || rest == "km/h" || rest == "kmh" || rest == "kph") {
     return kmh_to_mps(*number);
@@ -101,17 +103,20 @@ std::optional<double> parse_maxspeed(const std::string& value) {
 std::optional<int> parse_lanes(const std::string& value) {
   const std::string v = lower_trim(value);
   std::string rest;
-  const auto number = leading_number(v, &rest);
+  const auto number = leading_number(v, rest);
   if (!number || !rest.empty()) return std::nullopt;
-  const int lanes = static_cast<int>(*number);
-  if (lanes < 1 || static_cast<double>(lanes) != *number) return std::nullopt;
-  return lanes;
+  // Whole and within int before the cast: "1e10" would not fit.
+  if (*number < 1.0 || *number > std::numeric_limits<int>::max() ||
+      std::trunc(*number) != *number) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*number);
 }
 
 std::optional<double> parse_width(const std::string& value) {
   const std::string v = lower_trim(value);
   std::string rest;
-  const auto number = leading_number(v, &rest);
+  const auto number = leading_number(v, rest);
   if (!number || *number <= 0.0) return std::nullopt;
   if (rest.empty() || rest == "m") return *number;
   if (rest == "'" || rest == "ft" || rest == "feet") return feet_to_meters(*number);

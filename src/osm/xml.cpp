@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cmath>
 #include <iterator>
 #include <optional>
 #include <filesystem>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/parse.hpp"
 
 namespace mts::osm {
 
@@ -55,6 +55,7 @@ std::string xml_unescape(const std::string& escaped) {
       const bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
       const char* begin = entity.data() + (hex ? 2 : 1);
       const char* end = entity.data() + entity.size();
+      // mts-lint: allow(no-raw-number-parse) a character reference, not a number the program uses
       const auto [ptr, ec] = std::from_chars(begin, end, code, hex ? 16 : 10);
       if (ec != std::errc() || ptr != end || code <= 0 || code > 0x10FFFF) {
         throw InvalidInput("xml_unescape: bad character reference &" + entity + ";");
@@ -245,21 +246,11 @@ double parse_double_attr(const ElementTag& tag, const std::string& key) {
   if (it == tag.attributes.end()) {
     throw InvalidInput("OSM XML: <" + tag.name + "> missing attribute " + key);
   }
-  // std::stod alone is too lax: it prefix-parses ("1.0abc") and accepts
-  // "nan"/"inf", either of which would smuggle garbage coordinates into
-  // the graph.  Demand full consumption and a finite value.
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(it->second, &consumed);
-    if (consumed != it->second.size() || !std::isfinite(value)) {
-      throw InvalidInput("OSM XML: bad numeric attribute " + key + "=\"" + it->second + "\"");
-    }
-    return value;
-  } catch (const InvalidInput&) {
-    throw;
-  } catch (const std::exception&) {
+  const Parsed<double> parsed = parse_finite(it->second);
+  if (!parsed) {
     throw InvalidInput("OSM XML: bad numeric attribute " + key + "=\"" + it->second + "\"");
   }
+  return parsed.value;
 }
 
 std::int64_t parse_int_attr(const ElementTag& tag, const std::string& key) {
@@ -267,18 +258,11 @@ std::int64_t parse_int_attr(const ElementTag& tag, const std::string& key) {
   if (it == tag.attributes.end()) {
     throw InvalidInput("OSM XML: <" + tag.name + "> missing attribute " + key);
   }
-  try {
-    std::size_t consumed = 0;
-    const std::int64_t value = std::stoll(it->second, &consumed);
-    if (consumed != it->second.size()) {
-      throw InvalidInput("OSM XML: bad integer attribute " + key + "=\"" + it->second + "\"");
-    }
-    return value;
-  } catch (const InvalidInput&) {
-    throw;
-  } catch (const std::exception&) {
+  const Parsed<std::int64_t> parsed = parse_signed(it->second);
+  if (!parsed) {
     throw InvalidInput("OSM XML: bad integer attribute " + key + "=\"" + it->second + "\"");
   }
+  return parsed.value;
 }
 
 }  // namespace

@@ -155,6 +155,17 @@ TEST_F(CliTest, GenerateRejectsNonNumericScale) {
   EXPECT_NE(err_.str().find("--scale expects a number"), std::string::npos);
 }
 
+// --scale inf used to write lat="inf" nodes that `mts info` then refused.
+TEST_F(CliTest, GenerateRejectsNonFiniteScaleAndWritesNothing) {
+  for (const char* scale : {"inf", "nan", "1e999"}) {
+    EXPECT_EQ(run({"generate", "--city", "chicago", "--scale", scale, "--out", osm_path_}), 1);
+    EXPECT_NE(err_.str().find(std::string("--scale expects a number, got '") + scale + "'"),
+              std::string::npos)
+        << err_.str();
+    EXPECT_FALSE(std::filesystem::exists(osm_path_)) << scale;
+  }
+}
+
 TEST_F(CliTest, GenerateRejectsNonPositiveScale) {
   EXPECT_EQ(run({"generate", "--city", "chicago", "--scale", "0", "--out", osm_path_}), 1);
   EXPECT_NE(err_.str().find("--scale"), std::string::npos);
@@ -162,8 +173,11 @@ TEST_F(CliTest, GenerateRejectsNonPositiveScale) {
 
 TEST_F(CliTest, AttackRejectsZeroRank) {
   generate();
-  EXPECT_EQ(run({"attack", "--osm", osm_path_, "--rank", "0"}), 1);
-  EXPECT_NE(err_.str().find("--rank"), std::string::npos);
+  // 2^32 + 1 used to be cast to int and run as rank 1.
+  for (const char* rank : {"0", "4294967297"}) {
+    EXPECT_EQ(run({"attack", "--osm", osm_path_, "--rank", rank}), 1) << rank;
+    EXPECT_NE(err_.str().find("--rank"), std::string::npos) << rank;
+  }
 }
 
 TEST_F(CliTest, AttackRejectsNonPositiveBudget) {
@@ -238,7 +252,7 @@ TEST_F(CliTest, StatsRejectsUnreadablePortFile) {
 }
 
 TEST_F(CliTest, LoadgenRequiresConcretePort) {
-  // No --port, no --port-file, MTS_PORT unset: the client must not guess.
+  // No --port and no --port-file: the client must not guess.
   EXPECT_EQ(run({"loadgen", "--requests", "1"}), 1);
   EXPECT_NE(err_.str().find("--port"), std::string::npos) << err_.str();
 }
@@ -246,6 +260,18 @@ TEST_F(CliTest, LoadgenRequiresConcretePort) {
 TEST_F(CliTest, LoadgenRejectsUnreadablePortFile) {
   EXPECT_EQ(run({"loadgen", "--port-file", (dir_ / "nope.port").string()}), 1);
   EXPECT_NE(err_.str().find("--port-file"), std::string::npos) << err_.str();
+}
+
+// A port file holding "123abc" used to dial port 123.
+TEST_F(CliTest, LoadgenRejectsAPortFileThatIsNotOnePort) {
+  const std::string port_file = (dir_ / "routed.port").string();
+  for (const char* text : {"123abc\n", "123\n456\n", " 123\n", "70000\n", "-1\n", ""}) {
+    std::ofstream(port_file) << text;
+    EXPECT_EQ(run({"loadgen", "--port-file", port_file}), 1) << text;
+    EXPECT_NE(err_.str().find("--port-file " + port_file + " is unreadable or not a port number"),
+              std::string::npos)
+        << text << ": " << err_.str();
+  }
 }
 
 TEST_F(CliTest, LoadgenRejectsBadMix) {
@@ -269,6 +295,9 @@ TEST_F(CliTest, LoadgenRejectsNegativeRetriesAndReconnects) {
   err_.str("");
   EXPECT_EQ(run({"loadgen", "--port", "1", "--reconnects", "-2"}), 1);
   EXPECT_NE(err_.str().find("--reconnects must be >= 0"), std::string::npos) << err_.str();
+  // 2^32 used to be cast to a 32-bit retry limit of 0.
+  EXPECT_EQ(run({"loadgen", "--port", "1", "--retries", "4294967296"}), 1);
+  EXPECT_NE(err_.str().find("--retries does not fit 32 bits"), std::string::npos) << err_.str();
 }
 
 TEST_F(CliTest, LoadgenRequireZeroDropsIsBoolean) {

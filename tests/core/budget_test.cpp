@@ -82,6 +82,8 @@ TEST(WorkBudgetTest, ParseRejectsUnknownKeysAndBadCounts) {
   EXPECT_THROW(WorkBudget::parse("edges=0"), InvalidInput);
   EXPECT_THROW(WorkBudget::parse("edges=-5"), InvalidInput);
   EXPECT_THROW(WorkBudget::parse("edges=many"), InvalidInput);
+  EXPECT_THROW(WorkBudget::parse("edges=99999999999999999999999"), InvalidInput);
+  EXPECT_THROW(WorkBudget::parse("spurs=18446744073709551616"), InvalidInput);
 }
 
 TEST(WorkBudgetTest, ArmedDeadlineMakesBudgetLimited) {

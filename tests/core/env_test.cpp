@@ -157,6 +157,20 @@ TEST(Env, BenchEnvRejectsMistypedKnobs) {
   expect_rejected("MTS_PATH_RANK", "hundred", read);
 }
 
+// MTS_TRIALS=-3 used to print an all-zero table and exit 0, and
+// MTS_SEED=-1 ran with seed 2^64 - 1: each knob's range is checked where
+// it enters.
+TEST(Env, BenchEnvRejectsOutOfRangeKnobs) {
+  const auto read = [] { return BenchEnv::from_environment(); };
+  expect_rejected("MTS_TRIALS", "-3", read);
+  expect_rejected("MTS_TRIALS", "0", read);
+  expect_rejected("MTS_TRIALS", "4294967297", read);
+  expect_rejected("MTS_PATH_RANK", "0", read);
+  expect_rejected("MTS_SEED", "-1", read);
+  expect_rejected("MTS_SCALE", "0", read);
+  expect_rejected("MTS_SCALE", "-0.5", read);
+}
+
 // MTS_TIMING=00 used to zero the tables' runtime columns while the run
 // header and the metrics JSON, read through timing_enabled(), reported
 // timing on with real seconds.  Only "0" and "1" are accepted now.

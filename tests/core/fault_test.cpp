@@ -71,6 +71,7 @@ TEST_F(FaultTest, SpecParsingRejectsMalformedEntries) {
   EXPECT_THROW(registry.arm_from_spec("lp.pivot:count=100:throw"), InvalidInput);
   EXPECT_THROW(registry.arm_from_spec("lp.pivot:after=0:throw"), InvalidInput);
   EXPECT_THROW(registry.arm_from_spec("lp.pivot:after=ten:throw"), InvalidInput);
+  EXPECT_THROW(registry.arm_from_spec("lp.pivot:after=18446744073709551616:throw"), InvalidInput);
   EXPECT_THROW(registry.arm_from_spec("lp.pivot:after=1:explode"), InvalidInput);
   EXPECT_THROW(registry.arm_from_spec(":after=1:throw"), InvalidInput);
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/rng.hpp"
 
 namespace mts {
 namespace {
@@ -45,36 +44,6 @@ TEST(RunningStats, NumericallyStableOnLargeOffsets) {
   for (double v : {offset + 1.0, offset + 2.0, offset + 3.0}) stats.add(v);
   EXPECT_NEAR(stats.mean(), offset + 2.0, 1e-3);
   EXPECT_NEAR(stats.variance(), 1.0, 1e-6);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(3);
-  RunningStats all;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.normal(10.0, 4.0);
-    all.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
 TEST(Percentile, MedianAndQuartiles) {

@@ -37,15 +37,6 @@ TEST(Table, TextRenderingContainsAlignedCells) {
   EXPECT_NE(text.find("29299"), std::string::npos);
 }
 
-TEST(Table, MarkdownRendering) {
-  std::ostringstream out;
-  sample_table().render_markdown(out);
-  const std::string md = out.str();
-  EXPECT_NE(md.find("### Demo"), std::string::npos);
-  EXPECT_NE(md.find("| City | Nodes |"), std::string::npos);
-  EXPECT_NE(md.find("| Boston | 11171 |"), std::string::npos);
-}
-
 TEST(Table, CsvEscapesSpecialCharacters) {
   Table table("T", {"name", "note"});
   table.add_row({"a,b", "say \"hi\""});

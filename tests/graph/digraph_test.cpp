@@ -92,12 +92,6 @@ TEST(DiGraph, AverageDegreeMatchesFormula) {
   EXPECT_DOUBLE_EQ(wg.g.average_degree(), 2.0 * 24 / 9);
 }
 
-TEST(DiGraph, FindEdge) {
-  test::Diamond d;
-  EXPECT_EQ(d.wg.g.find_edge(d.s, d.a), d.sa);
-  EXPECT_FALSE(d.wg.g.find_edge(d.a, d.s).valid());
-}
-
 TEST(DiGraph, NodeDistance) {
   DiGraph g;
   const NodeId a = g.add_node(0.0, 0.0);

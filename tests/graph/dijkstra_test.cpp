@@ -38,9 +38,10 @@ TEST(Dijkstra, UnreachableReturnsNullopt) {
 
 TEST(Dijkstra, SourceEqualsTarget) {
   test::Diamond d;
-  const auto tree = dijkstra(d.wg.g, d.wg.weights, d.s);
-  EXPECT_DOUBLE_EQ(tree.dist[d.s.value()], 0.0);
-  const auto path = extract_path(d.wg.g, tree, d.s, d.s);
+  SearchSpace ws;
+  dijkstra(ws, d.wg.g, d.wg.weights, d.s);
+  EXPECT_DOUBLE_EQ(ws.dist(d.s), 0.0);
+  const auto path = extract_path(d.wg.g, ws, d.s, d.s);
   ASSERT_TRUE(path.has_value());
   EXPECT_TRUE(path->empty());
 }
@@ -52,8 +53,9 @@ TEST(Dijkstra, BannedNodesAreAvoided) {
   DijkstraOptions options;
   options.target = d.t;
   options.banned_nodes = &banned;
-  const auto tree = dijkstra(d.wg.g, d.wg.weights, d.s, options);
-  const auto path = extract_path(d.wg.g, tree, d.s, d.t);
+  SearchSpace ws;
+  dijkstra(ws, d.wg.g, d.wg.weights, d.s, options);
+  const auto path = extract_path(d.wg.g, ws, d.s, d.t);
   ASSERT_TRUE(path.has_value());
   EXPECT_DOUBLE_EQ(path->length, 3.0);
 }

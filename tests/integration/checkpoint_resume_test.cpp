@@ -162,6 +162,7 @@ TEST(CheckpointJournalTest, NumbersMustEndAtTheirFieldAndCountsCannotBeNegative)
       with("\"task\":3,", "\"task\": 3,"),              // leading space
       with("\"seconds\":0,", "\"seconds\":0abc,"),      // junk after a double
       with("\"total_cost\":0}", "\"total_cost\":0 }"),  // space before the brace
+      with("\"seconds\":0,", "\"seconds\":nan,"),        // not a finite number
   };
   for (std::size_t i = 0; i < std::size(corrupt); ++i) {
     const std::string path = (dir / ("journal" + std::to_string(i) + ".jsonl")).string();

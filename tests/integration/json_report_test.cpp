@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -79,45 +76,20 @@ TEST(JsonReport, NumbersAreFiniteAndPlain) {
   EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
-// MTS_OBS_SUFFIX exists so concurrent runs sharing an --obs base (e.g. a
-// routed daemon and a loadgen) stop clobbering each other's files.  The
-// default must stay the historical fixed names, byte-for-byte.
+// save_observability writes to fixed names next to its base path.
 class ObsSuffixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    unsetenv("MTS_OBS_SUFFIX");
     dir_ = test::unique_temp_dir();
     obs::set_metrics_enabled(true);
   }
-  void TearDown() override {
-    unsetenv("MTS_OBS_SUFFIX");
-    obs::set_metrics_enabled(false);
-  }
+  void TearDown() override { obs::set_metrics_enabled(false); }
   std::filesystem::path dir_;
 };
 
 TEST_F(ObsSuffixTest, DefaultSuffixIsEmptyAndKeepsHistoricalFilenames) {
-  EXPECT_EQ(observability_suffix(), "");
-  const std::string base = (dir_ / "run").string();
-  save_observability(base);
-  EXPECT_TRUE(std::filesystem::exists(dir_ / "run_metrics.json"));
-}
-
-TEST_F(ObsSuffixTest, PidSuffixDisambiguatesConcurrentProcesses) {
-  setenv("MTS_OBS_SUFFIX", "pid", 1);
-  const std::string expected = "." + std::to_string(::getpid());
-  EXPECT_EQ(observability_suffix(), expected);
-  const std::string base = (dir_ / "run").string();
-  save_observability(base);
-  EXPECT_TRUE(std::filesystem::exists(dir_ / ("run" + expected + "_metrics.json")));
-  EXPECT_FALSE(std::filesystem::exists(dir_ / "run_metrics.json"));
-}
-
-TEST_F(ObsSuffixTest, LiteralSuffixIsUsedVerbatim) {
-  setenv("MTS_OBS_SUFFIX", ".loadgen", 1);
-  EXPECT_EQ(observability_suffix(), ".loadgen");
   save_observability((dir_ / "run").string());
-  EXPECT_TRUE(std::filesystem::exists(dir_ / "run.loadgen_metrics.json"));
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "run_metrics.json"));
 }
 
 TEST_F(ObsSuffixTest, MetricsOffWritesNothing) {

@@ -17,9 +17,11 @@ namespace mts::net {
 namespace {
 
 TEST(Loadgen, ParseMixRoundTripsAndRejects) {
-  for (const Mix mix : {Mix::Route, Mix::Kalt, Mix::Attack, Mix::Mixed}) {
-    EXPECT_EQ(parse_mix(to_string(mix)), mix);
-  }
+  EXPECT_EQ(parse_mix("route"), Mix::Route);
+  EXPECT_EQ(parse_mix("kalt"), Mix::Kalt);
+  EXPECT_EQ(parse_mix("attack"), Mix::Attack);
+  EXPECT_EQ(parse_mix("table"), Mix::Table);
+  EXPECT_EQ(parse_mix("mixed"), Mix::Mixed);
   EXPECT_THROW(parse_mix("chaos"), InvalidInput);
   EXPECT_THROW(parse_mix(""), InvalidInput);
   EXPECT_THROW(parse_mix("Route"), InvalidInput);  // tokens are lowercase
@@ -110,7 +112,7 @@ TEST(Loadgen, PureMixesSynthesizeOnlyTheirVerb) {
         std::pair{Mix::Attack, Verb::Attack}}) {
     options.mix = mix;
     for (const Request& r : synthesize_requests(options, 20)) {
-      EXPECT_EQ(r.verb, verb) << to_string(mix);
+      EXPECT_EQ(r.verb, verb) << to_string(verb);
     }
   }
 }
@@ -132,10 +134,9 @@ TEST(Loadgen, TableMixIsDeterministicAndItsWireFormRoundTrips) {
     EXPECT_EQ(r.sources.size(), r.targets.size());
     for (const std::uint32_t node : r.sources) EXPECT_LT(node, num_nodes);
     for (const std::uint32_t node : r.targets) EXPECT_LT(node, num_nodes);
-    // A table's wire form carries only its sides (the stream's shared
-    // source/target draws are not part of it), and parses back to itself.
-    const std::string wire = serialize_request(r);
-    EXPECT_EQ(serialize_request(parse_request(wire)), wire);
+    // A table's wire form carries only its sides, so the request holds
+    // nothing else and parses back to itself.
+    EXPECT_EQ(parse_request(serialize_request(r)), r);
   }
 }
 

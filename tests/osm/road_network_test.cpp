@@ -72,6 +72,28 @@ TEST(RoadNetwork, SegmentAttributesFromTags) {
   EXPECT_TRUE(checked);
 }
 
+// A numeric tag the reader refuses (non-finite, zero, hex, or lanes beyond
+// int) reads as if it were absent: the highway class's default.
+TEST(RoadNetwork, UnreadableNumericTagsFallBackToHighwayDefaults) {
+  auto untagged = small_city();
+  for (const char* key : {"maxspeed", "lanes", "width"}) untagged.ways[0].tags.erase(key);
+  const auto reference = RoadNetwork::build(untagged);
+  const std::pair<const char*, const char*> bad_tags[] = {
+      {"maxspeed", "nan"}, {"maxspeed", "inf"}, {"maxspeed", "0"}, {"maxspeed", "0x1p6"},
+      {"width", "inf"},    {"width", "nan"},    {"lanes", "1e10"}};
+  for (const auto& [key, value] : bad_tags) {
+    auto data = untagged;
+    data.ways[0].tags[key] = value;
+    const auto network = RoadNetwork::build(data);
+    ASSERT_EQ(network.graph().num_edges(), reference.graph().num_edges());
+    for (EdgeId e : network.graph().edges()) {
+      EXPECT_EQ(network.segment(e).speed_mps, reference.segment(e).speed_mps) << key << "=" << value;
+      EXPECT_EQ(network.segment(e).lanes, reference.segment(e).lanes) << key << "=" << value;
+      EXPECT_EQ(network.segment(e).width_m, reference.segment(e).width_m) << key << "=" << value;
+    }
+  }
+}
+
 TEST(RoadNetwork, SegmentLengthsMatchHaversine) {
   auto data = small_city();
   BuildOptions options;

@@ -44,6 +44,10 @@ TEST(ParseMaxspeed, RejectsGarbage) {
   EXPECT_FALSE(parse_maxspeed("fast").has_value());
   EXPECT_FALSE(parse_maxspeed("-10").has_value());
   EXPECT_FALSE(parse_maxspeed("30 knots").has_value());
+  EXPECT_FALSE(parse_maxspeed("nan").has_value());
+  EXPECT_FALSE(parse_maxspeed("inf").has_value());
+  EXPECT_FALSE(parse_maxspeed("0").has_value());
+  EXPECT_FALSE(parse_maxspeed("0x1p6").has_value());
 }
 
 TEST(ParseLanes, ValidAndInvalid) {
@@ -52,6 +56,7 @@ TEST(ParseLanes, ValidAndInvalid) {
   EXPECT_FALSE(parse_lanes("2.5").has_value());
   EXPECT_FALSE(parse_lanes("0").has_value());
   EXPECT_FALSE(parse_lanes("two").has_value());
+  EXPECT_FALSE(parse_lanes("1e10").has_value());
 }
 
 TEST(ParseWidth, MetersAndFeet) {
@@ -61,6 +66,8 @@ TEST(ParseWidth, MetersAndFeet) {
   EXPECT_NEAR(*parse_width("24 ft"), feet_to_meters(24), 1e-9);
   EXPECT_FALSE(parse_width("-3").has_value());
   EXPECT_FALSE(parse_width("wide").has_value());
+  EXPECT_FALSE(parse_width("inf").has_value());
+  EXPECT_FALSE(parse_width("nan").has_value());
 }
 
 TEST(ParseOneway, AllSpellings) {

@@ -196,6 +196,37 @@ class LintFixtureTest(unittest.TestCase):
                    "}\n")
         self.assert_fires("src/exp/bad.cpp", 3, "no-raw-getenv")
 
+    def test_no_raw_number_parse(self) -> None:
+        self.write("src/osm/bad.cpp",
+                   "#include <cstdlib>\n"
+                   "// strtod in a comment is fine\n"
+                   "double speed(const char* text) {\n"
+                   "  return std::strtod(text, nullptr);\n"
+                   "}\n"
+                   "long lanes(const std::string& t) { return std::stol(t); }\n"
+                   "int width(const char* t) { return atoi(t); }\n")
+        proc = run_lint(self.root)
+        found = [v for v in violations(proc) if v[2] == "no-raw-number-parse"]
+        self.assertEqual(found, [("src/osm/bad.cpp", 4, "no-raw-number-parse"),
+                                 ("src/osm/bad.cpp", 6, "no-raw-number-parse"),
+                                 ("src/osm/bad.cpp", 7, "no-raw-number-parse")],
+                         proc.stdout)
+
+    def test_no_raw_number_parse_allows_the_readers_and_suppressions(self) -> None:
+        self.write("src/core/parse.hpp",
+                   "#pragma once\n"
+                   "#include <charconv>\n"
+                   "inline void read(const char* b, const char* e, double& v) {\n"
+                   "  std::from_chars(b, e, v);\n"
+                   "}\n")
+        self.write("src/osm/xml.cpp",
+                   "#include <charconv>\n"
+                   "void ref(const char* b, const char* e, int& c) {\n"
+                   "  // mts-lint: allow(no-raw-number-parse) a character reference\n"
+                   "  std::from_chars(b, e, c, 16);\n"
+                   "}\n")
+        self.assert_clean()
+
     def test_no_mutable_global(self) -> None:
         self.write("src/core/bad.hpp",
                    "#pragma once\n"

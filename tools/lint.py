@@ -44,6 +44,12 @@ Rules (see DESIGN.md "Correctness tooling"):
                    flows through mts::env_raw / env_int / env_string
                    (core/env.hpp), the single audited entry point for
                    environment-dependent behaviour
+  no-raw-number-parse
+                   no strto*, std::sto*, ato* or from_chars in library code
+                   outside core/parse.hpp — every number read from outside
+                   (env, flags, wire, specs, journal, OSM) goes through its
+                   three strict readers, so one grammar decides what "7",
+                   " 7", "+7", "inf" and "1e3" mean everywhere
   no-mutable-global
                    no mutable namespace-scope state in library code outside
                    the registered enabled-flag singletons (obs/fault/timer
@@ -364,6 +370,22 @@ class Linter:
                             f"raw getenv; use mts::env_raw / env_int / env_string "
                             f"(core/env.hpp): {line}")
 
+    def check_no_raw_number_parse(self) -> None:
+        # One number grammar (core/parse.hpp): a raw libc/stdlib parse
+        # elsewhere brings back its own policy on whitespace, signs, bases,
+        # inf/nan and overflow.
+        pattern = re.compile(
+            r"\b(?:std\s*::\s*)?(?:strto(?:d|f|ld|l|ll|ul|ull|imax|umax)|"
+            r"sto(?:i|l|ll|ul|ull|f|d|ld)|ato(?:i|l|ll|f)|from_chars)\s*\(")
+        reader = self.root / "src" / "core" / "parse.hpp"
+        for path in self.files(LIB_DIRS, CXX_SUFFIXES):
+            if path == reader:
+                continue
+            for lineno, line in self.match_lines(strip_code(path.read_text()), pattern):
+                self.report(path, lineno, "no-raw-number-parse",
+                            f"raw number parse; use parse_unsigned / parse_signed / "
+                            f"parse_finite (core/parse.hpp): {line}")
+
     def check_no_mutable_global(self) -> None:
         # Namespace-scope mutable state is where cross-thread races and
         # cross-run nondeterminism breed.  Heuristic: clang-format keeps
@@ -564,6 +586,7 @@ class Linter:
         self.check_no_using_namespace()
         self.check_no_search_alloc()
         self.check_no_raw_getenv()
+        self.check_no_raw_number_parse()
         self.check_no_mutable_global()
         self.check_no_unordered_output()
         self.check_no_shared_temp_dir()
